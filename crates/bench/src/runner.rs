@@ -88,7 +88,7 @@ pub fn run_suite(quick: bool) -> BenchReport {
     // checks (tools/bench_gate.py scaling).
     let sources: Vec<String> = (0..THROUGHPUT_FILES)
         // Widths cycle so the batch is cost-skewed: the cheap files
-        // drain early and the pool's stealing has something to do.
+        // drain early while the costly ones still occupy workers.
         .map(|i| crate::many_models_program(4 + (i % 4) * 8))
         .collect();
     for jobs in [1usize, 2, 4] {
@@ -129,12 +129,10 @@ mod tests {
     fn quick_suite_produces_a_well_formed_report() {
         // The width-128 workload nests a few hundred binders; debug
         // frames overflow the default 2 MiB test-thread stack, so run
-        // the suite on a worker sized like the CLI's.
-        let report = std::thread::Builder::new()
-            .stack_size(256 * 1024 * 1024)
-            .spawn(|| run_suite(true))
+        // the suite on a pool worker, as `fg bench-json` does.
+        let report = fg::pool::WorkerPool::new(1)
             .expect("spawn bench worker")
-            .join()
+            .run_one(|| run_suite(true))
             .expect("suite does not panic");
         assert_eq!(report.harness, HARNESS);
         // Every planned benchmark reported, every measurement nonzero.

@@ -17,9 +17,8 @@
 //!   once, verifying it works without spending wall-clock time.
 //! * **Bench mode** (`cargo bench` passes `--bench`): each benchmark is
 //!   calibrated with one timed iteration, warmed up until the warm-up
-//!   budget is spent (priming caches, allocator arenas, and the
-//!   checker's persistent worker thread, so the first sample is not
-//!   systematically slow), then measured as the *median* of several
+//!   budget is spent (priming caches and allocator arenas, so the
+//!   first sample is not systematically slow), then measured as the *median* of several
 //!   equally sized samples; the median ns/iteration is printed to
 //!   stdout and collected into an `fg-bench/1` JSON report (see the
 //!   `telemetry` crate for the schema). Setting `FG_BENCH_QUICK=1`

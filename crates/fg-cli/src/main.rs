@@ -17,10 +17,15 @@
 //! `fg::stdlib`. Several files may be given; they are processed in order
 //! and the worst outcome determines the exit code.
 //!
+//! Every command that runs the pipeline runs it on a worker of
+//! `fg::pool`, whose threads are the only ones with a stack big enough
+//! for the recursive checker and evaluators: the file loop, `repl` and
+//! `bench-json` use a one-worker pool.
+//!
 //! # Parallel batches and the check daemon
 //!
 //! `--jobs N` (or `--jobs auto`) runs a batch on a persistent pool of
-//! `N` worker threads (`fg::pool`): work-stealing dispatch, per-task
+//! `N` worker threads (`fg::pool`): one shared FIFO queue, per-task
 //! panic isolation, deterministic input-order output, and a merged
 //! telemetry report with a `pool.*` counter group. `fg serve
 //! --addr 127.0.0.1:0` exposes the same pipeline as a line-delimited
@@ -76,6 +81,7 @@ use std::io::Read;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use fg::pool::WorkerPool;
 use telemetry::limits::{Budget, Limits};
 use telemetry::trace::Tracer;
 use telemetry::Metrics;
@@ -91,11 +97,6 @@ const EXIT_DIAGNOSTIC: u8 = 1;
 const EXIT_USAGE: u8 = 2;
 /// Exit code: the pipeline itself crashed (caught panic).
 const EXIT_CRASH: u8 = 3;
-
-/// Stack size for per-file worker threads: the checker and evaluator
-/// recurse, and the budget's depth cap (not the OS stack) should be what
-/// bounds them.
-const WORKER_STACK: usize = 256 * 1024 * 1024;
 
 /// The full usage text, shared by `--help` (stdout, exit 0) and usage
 /// errors (stderr, exit 2).
@@ -160,8 +161,9 @@ struct Flags {
     max_dict_nodes: Option<Option<u64>>,
     timeout_ms: Option<Option<u64>>,
     inject_fault: Option<String>,
-    /// `--jobs`: pool width for batch mode. `None` = sequential legacy
-    /// path, `Some(0)` = `auto` (one worker per available core).
+    /// `--jobs`: pool width for batch mode. `None` = one file at a time
+    /// on a one-worker pool, `Some(0)` = `auto` (one worker per
+    /// available core).
     jobs: Option<usize>,
     help: bool,
 }
@@ -312,12 +314,23 @@ fn real_main() -> u8 {
         return serve::rpc_main(&flags, &args[1..]);
     }
     if args.as_slice() == ["repl"] {
-        let stdin = std::io::stdin();
-        return match repl::run_repl(stdin.lock(), std::io::stdout(), flags.use_prelude, flags.limits()) {
-            Ok(()) => 0,
-            Err(e) => {
+        let (use_prelude, limits) = (flags.use_prelude, flags.limits());
+        let session = one_worker_pool().map(|pool| {
+            pool.run_one(move || {
+                let stdin = std::io::stdin();
+                repl::run_repl(stdin.lock(), std::io::stdout(), use_prelude, limits)
+            })
+        });
+        return match session {
+            Err(code) => code,
+            Ok(Ok(Ok(()))) => 0,
+            Ok(Ok(Err(e))) => {
                 eprintln!("fg: io error: {e}");
                 EXIT_DIAGNOSTIC
+            }
+            Ok(Err(msg)) => {
+                eprintln!("fg: internal error: repl crashed: {msg}");
+                EXIT_CRASH
             }
         };
     }
@@ -333,19 +346,31 @@ fn real_main() -> u8 {
     {
         return usage();
     }
-    // Batch mode: every file runs in an isolated worker thread, so one
-    // crashing input cannot take down the rest of the batch. The exit
-    // code is the worst outcome seen. With `--jobs`, the files are
-    // dispatched onto a persistent work-stealing pool instead of one
-    // fresh thread per file.
+    // Every file runs as an isolated pool task, so one crashing input
+    // cannot take down the rest of the batch. The exit code is the worst
+    // outcome seen. With `--jobs`, the files share a pool of that width
+    // and one merged report; without it, they run one at a time on a
+    // one-worker pool, each with its own report.
     if flags.jobs.is_some() {
         return batch::run_batch(cmd, paths, &flags);
     }
+    let pool = match one_worker_pool() {
+        Ok(pool) => pool,
+        Err(code) => return code,
+    };
     let mut worst = 0u8;
     for path in paths {
-        worst = worst.max(run_file(cmd, path, &flags));
+        worst = worst.max(run_file(&pool, cmd, path, &flags));
     }
     worst
+}
+
+/// The pool for commands that run one request at a time.
+fn one_worker_pool() -> Result<WorkerPool, u8> {
+    WorkerPool::new(1).map_err(|e| {
+        eprintln!("fg: cannot spawn worker pool: {e}");
+        EXIT_CRASH
+    })
 }
 
 /// `fg bench-json [--quick] [--out <path>]` — runs the benchmark suite
@@ -378,7 +403,15 @@ fn bench_json(args: &[String]) -> u8 {
         "fg: running benchmark suite ({} mode)...",
         if quick { "quick" } else { "full" }
     );
-    let report = bench::runner::run_suite(quick);
+    let suite = one_worker_pool().map(|pool| pool.run_one(move || bench::runner::run_suite(quick)));
+    let report = match suite {
+        Err(code) => return code,
+        Ok(Ok(report)) => report,
+        Ok(Err(msg)) => {
+            eprintln!("fg: internal error: bench-json crashed: {msg}");
+            return EXIT_CRASH;
+        }
+    };
     for e in &report.entries {
         eprintln!(
             "  {:<50} {:>12} ns/iter (n={})",
@@ -417,18 +450,9 @@ struct RunOutput {
     metrics: Metrics,
 }
 
-/// Extracts a human-readable message from a caught panic payload.
-fn panic_message(payload: &dyn std::any::Any) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "unknown panic".to_owned())
-}
-
-/// Runs one file on a dedicated worker thread, translating a panic into
+/// Runs one file as a task on `pool`, translating a panic into
 /// [`EXIT_CRASH`] instead of aborting the batch.
-fn run_file(cmd: &str, path: &str, flags: &Flags) -> u8 {
+fn run_file(pool: &WorkerPool, cmd: &str, path: &str, flags: &Flags) -> u8 {
     // `explain` always needs the event record; otherwise tracing is on
     // only when an export was requested.
     let tracer = if flags.wants_trace(cmd) {
@@ -436,25 +460,12 @@ fn run_file(cmd: &str, path: &str, flags: &Flags) -> u8 {
     } else {
         Tracer::disabled()
     };
-    let outcome = std::thread::scope(|scope| {
-        let handle = std::thread::Builder::new()
-            .name(format!("fg-{cmd}"))
-            .stack_size(WORKER_STACK)
-            .spawn_scoped(scope, || load_and_run(cmd, path, flags, &tracer));
-        match handle {
-            Ok(h) => h.join(),
-            Err(e) => {
-                eprintln!("fg: cannot spawn worker thread: {e}");
-                Ok(RunOutput {
-                    code: EXIT_CRASH,
-                    stdout: String::new(),
-                    stderr: String::new(),
-                    metrics: Metrics::new(),
-                })
-            }
-        }
-    });
-    match outcome {
+    let task = {
+        let (cmd, path, tracer) = (cmd.to_owned(), path.to_owned(), tracer.clone());
+        let (use_prelude, limits) = (flags.use_prelude, flags.limits());
+        move || load_and_run(&cmd, &path, use_prelude, limits, &tracer)
+    };
+    match pool.run_one(task) {
         Ok(output) => {
             print!("{}", output.stdout);
             eprint!("{}", output.stderr);
@@ -464,8 +475,7 @@ fn run_file(cmd: &str, path: &str, flags: &Flags) -> u8 {
                 (code, _) => code,
             }
         }
-        Err(payload) => {
-            let msg = panic_message(&*payload);
+        Err(msg) => {
             eprintln!("fg: internal error: {path}: pipeline crashed: {msg}");
             EXIT_CRASH
         }
@@ -474,7 +484,7 @@ fn run_file(cmd: &str, path: &str, flags: &Flags) -> u8 {
 
 /// Reads `path`, applies the prelude, and runs the pipeline, buffering
 /// all output.
-fn load_and_run(cmd: &str, path: &str, flags: &Flags, tracer: &Tracer) -> RunOutput {
+fn load_and_run(cmd: &str, path: &str, use_prelude: bool, limits: Limits, tracer: &Tracer) -> RunOutput {
     let source = match read_source(path) {
         Ok(s) => s,
         Err(e) => {
@@ -486,7 +496,7 @@ fn load_and_run(cmd: &str, path: &str, flags: &Flags, tracer: &Tracer) -> RunOut
             }
         }
     };
-    run_request(cmd, path, &source, flags.use_prelude, flags.limits(), tracer)
+    run_request(cmd, path, &source, use_prelude, limits, tracer)
 }
 
 /// The reentrant pipeline entry point: parses, checks, and runs one
@@ -788,7 +798,6 @@ fn record_pool_stats(
     for (key, value) in [
         ("workers", workers as u64),
         ("jobs", stats.jobs),
-        ("steals", stats.steals),
         ("queue_depth_peak", stats.queue_depth_peak),
         ("panics", stats.panics),
         ("cache_hits", cache.hits()),

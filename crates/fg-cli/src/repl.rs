@@ -79,11 +79,7 @@ impl Repl {
         match catch_unwind(AssertUnwindSafe(|| self.handle_inner(line))) {
             Ok(reply) => reply,
             Err(payload) => {
-                let msg = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".to_owned());
+                let msg = fg::pool::panic_message(&*payload);
                 Some(format!("internal error: {msg} (session preserved)"))
             }
         }

@@ -150,139 +150,48 @@ pub fn check_program_budgeted(
     tracer: Tracer,
     budget: Arc<Budget>,
 ) -> Result<Compiled, CheckError> {
-    // The checker recurses once per nested expression; library-sized
+    // The checker recurses once per nested expression, and library-sized
     // programs (a prelude is a single deeply right-nested expression)
-    // exceed small default thread stacks. Shallow programs check inline;
-    // deep ones get a dedicated big-stack thread. The tracer handle is
-    // shared, so the record is seamless across the thread boundary.
-    // 24 leaves ample headroom on a default 2 MiB thread even for the
-    // checker's fattest debug-build frames (budget guard + fault probe
-    // included).
-    if !depth_exceeds(e, 24) {
+    // exceed small default thread stacks. Pool workers own big stacks,
+    // and shallow programs fit any stack, so both check inline. Any
+    // other caller (tests, doc tests, embedding code on a small stack)
+    // gets a dedicated big-stack thread. The tracer handle is shared, so
+    // the record is seamless across the thread boundary.
+    let check = move || {
         let mut checker = Checker::new();
         checker.set_tracer(tracer);
         checker.set_budget(budget);
         let (ty, term, elaborated) = checker.check_elab(e)?;
-        return Ok(compiled(checker, ty, term, elaborated));
-    }
-    // Deep programs need the big stack. Shipping each check to the
-    // persistent worker beats spawning a thread per call twice over:
-    // the spawn itself costs tens of microseconds, and a freshly
-    // spawned thread runs the whole check on cold stack pages and a
-    // cold malloc arena (~2× slower end to end on declaration-heavy
-    // programs). The worker is busy only when another thread is deep-
-    // checking concurrently; then we pay for a dedicated thread as
-    // before.
-    if let Some(result) = check_on_deep_worker(e, &tracer, &budget) {
-        return result;
+        Ok(compiled(checker, ty, term, elaborated))
+    };
+    if crate::pool::on_worker() || !depth_exceeds(e, INLINE_DEPTH) {
+        return check();
     }
     std::thread::scope(|scope| {
-        let tracer = tracer.clone();
-        let budget = budget.clone();
         let handle = std::thread::Builder::new()
             .name("fg-checker".to_owned())
             .stack_size(CHECKER_STACK_BYTES)
-            .spawn_scoped(scope, move || {
-                let mut checker = Checker::new();
-                checker.set_tracer(tracer);
-                checker.set_budget(budget);
-                let (ty, term, elaborated) = checker.check_elab(e)?;
-                Ok(compiled(checker, ty, term, elaborated))
-            })
+            .spawn_scoped(scope, check)
             .map_err(|e| {
                 CheckError::new(
                     ErrorKind::Internal(format!("failed to spawn checker thread: {e}")),
                     Span::default(),
                 )
             })?;
-        handle.join().unwrap_or_else(|payload| Err(panic_to_error(&payload)))
+        handle.join().unwrap_or_else(|payload| Err(panic_to_error(&*payload)))
     })
 }
 
-/// Stack reserve for deep-program checking (the checker recurses once
-/// per nested expression; library-sized programs are a single deeply
-/// right-nested expression).
+/// Deepest expression tree checked inline on a thread that is not a
+/// pool worker. 24 leaves ample headroom on a default 2 MiB thread even
+/// for the checker's fattest debug-build frames (budget guard and fault
+/// probe included).
+pub(crate) const INLINE_DEPTH: usize = 24;
+
+/// Stack reserve for deep-program checking off the pool (the checker
+/// recurses once per nested expression; library-sized programs are a
+/// single deeply right-nested expression).
 const CHECKER_STACK_BYTES: usize = 64 * 1024 * 1024;
-
-/// A unit of work shipped to the persistent deep-checker thread: the
-/// (owned) inputs of one check plus the channel the worker answers on.
-/// The answer is double-wrapped so a checker panic comes back as a
-/// payload rather than killing the worker.
-struct DeepJob {
-    e: Expr,
-    tracer: Tracer,
-    budget: Arc<Budget>,
-    done: std::sync::mpsc::SyncSender<std::thread::Result<Result<Compiled, CheckError>>>,
-}
-
-/// The persistent big-stack worker, spawned on first use. `None` when
-/// the spawn failed (callers fall back to a per-check thread). The
-/// mutex serializes submissions; concurrent deep checks skip the worker
-/// via `try_lock` rather than queue behind it.
-fn deep_worker() -> Option<&'static std::sync::Mutex<std::sync::mpsc::Sender<DeepJob>>> {
-    use std::sync::{mpsc, Mutex, OnceLock};
-    static WORKER: OnceLock<Option<Mutex<mpsc::Sender<DeepJob>>>> = OnceLock::new();
-    WORKER
-        .get_or_init(|| {
-            let (tx, rx) = mpsc::channel::<DeepJob>();
-            std::thread::Builder::new()
-                .name("fg-checker".to_owned())
-                .stack_size(CHECKER_STACK_BYTES)
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let DeepJob { e, tracer, budget, done } = job;
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                                let mut checker = Checker::new();
-                                checker.set_tracer(tracer);
-                                checker.set_budget(budget);
-                                checker.check_elab(&e).map(|(ty, term, elaborated)| {
-                                    compiled(checker, ty, term, elaborated)
-                                })
-                            }));
-                        let _ = done.send(outcome);
-                    }
-                })
-                .ok()
-                .map(|_| Mutex::new(tx))
-        })
-        .as_ref()
-}
-
-/// Runs a deep check on the persistent worker thread. Returns `None`
-/// when the worker is unavailable (spawn failed, lock poisoned, or
-/// another thread is mid-check) — the caller then uses a dedicated
-/// thread instead.
-fn check_on_deep_worker(
-    e: &Expr,
-    tracer: &Tracer,
-    budget: &Arc<Budget>,
-) -> Option<Result<Compiled, CheckError>> {
-    let worker = deep_worker()?;
-    let Ok(tx) = worker.try_lock() else {
-        return None;
-    };
-    let (done_tx, done_rx) = std::sync::mpsc::sync_channel(1);
-    let job = DeepJob {
-        e: e.clone(),
-        tracer: tracer.clone(),
-        budget: budget.clone(),
-        done: done_tx,
-    };
-    if tx.send(job).is_err() {
-        // Worker thread is gone; fall back to a dedicated thread.
-        return None;
-    }
-    let outcome = done_rx.recv();
-    drop(tx);
-    match outcome {
-        Ok(Ok(result)) => Some(result),
-        Ok(Err(payload)) => Some(Err(panic_to_error(&*payload))),
-        // Disconnected without an answer: the worker died before
-        // answering; re-check on a dedicated thread.
-        Err(_) => None,
-    }
-}
 
 /// Wraps a budget-exhaustion record as a spanned check error.
 fn exhausted_err(x: Exhausted, phase: &'static str, span: Span) -> CheckError {
@@ -303,11 +212,7 @@ fn compiled(checker: Checker, ty: RTy, term: Term, elaborated: Expr) -> Compiled
 /// Converts a checker-thread panic payload into a structured
 /// [`CheckError`] instead of re-panicking in the caller.
 pub(crate) fn panic_to_error(payload: &(dyn std::any::Any + Send)) -> CheckError {
-    let msg = payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_owned())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "checker thread panicked".to_owned());
+    let msg = crate::pool::panic_message(payload);
     CheckError::new(
         ErrorKind::Internal(format!("checker thread panicked: {msg}")),
         Span::default(),
@@ -316,7 +221,7 @@ pub(crate) fn panic_to_error(payload: &(dyn std::any::Any + Send)) -> CheckError
 
 /// Returns `true` if the expression tree is deeper than `limit`
 /// (iterative, early-exiting depth probe).
-fn depth_exceeds(e: &Expr, limit: usize) -> bool {
+pub(crate) fn depth_exceeds(e: &Expr, limit: usize) -> bool {
     let mut stack: Vec<(&Expr, usize)> = vec![(e, 0)];
     while let Some((e, d)) = stack.pop() {
         if d > limit {

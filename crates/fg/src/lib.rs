@@ -59,7 +59,7 @@
 //! | [`check`] | the typechecker and translation to System F (Figures 9, 13) |
 //! | [`interp`] | direct big-step interpreter (differential oracle) |
 //! | [`limits`] | resource budgets: governed, panic-free pipeline entry points |
-//! | [`pool`] | persistent worker pool + compile cache for `--jobs`/`fg serve` |
+//! | [`pool`] | persistent big-stack worker pool + compile cache behind the CLI and `fg serve` |
 //! | [`pretty`] | pretty-printer for the surface syntax |
 //! | [`stdlib`] | an STL-flavoured concept library written in F_G |
 //! | [`corpus`] | the paper's figures as runnable programs |

@@ -18,20 +18,22 @@
 //! # Pool shape
 //!
 //! [`WorkerPool`] spawns a fixed set of persistent worker threads, each
-//! with the same 256 MiB stack the single-file CLI path uses (the
-//! checker and evaluators recurse; the [`telemetry::limits::Budget`]
-//! depth cap, not the OS stack, should bound them). Each worker owns a
-//! deque; a batch is distributed round-robin, owners pop LIFO from
-//! their own deque, and an idle worker *steals* FIFO from a sibling —
-//! cheap locality for balanced batches, automatic rebalancing for
-//! skewed ones. Every task runs under `catch_unwind`, so one crashing
-//! request is reported as an error result while the pool keeps serving
-//! — the PR-3 isolation contract, but amortized over a persistent pool
-//! instead of a thread spawn per file.
+//! with a [`WORKER_STACK`] stack. The pool is the one place that owns a
+//! big stack: the checker and evaluators recurse once per nested
+//! expression, and the [`telemetry::limits::Budget`] depth cap, not the
+//! OS stack, should bound them. Every worker marks itself with
+//! [`on_worker`], and the checker runs deep programs inline under that
+//! marker instead of spawning a thread of its own. The CLI runs even a
+//! single file on a one-worker pool for the same reason.
+//!
+//! Tasks wait in one FIFO queue under one mutex and condvar, and any
+//! idle worker takes the oldest. Tasks are whole pipeline runs
+//! (milliseconds), so queue traffic is far off the critical path. Every
+//! task runs under `catch_unwind`, so one crashing request is reported
+//! as an error result while the pool keeps serving.
 //!
 //! [`PoolStats`] exposes the `pool.*` metrics group: jobs executed,
-//! steal count, peak queue depth, panics caught, and per-worker busy
-//! wall time.
+//! peak queue depth, panics caught, and per-worker busy wall time.
 //!
 //! # Compile cache
 //!
@@ -43,38 +45,44 @@
 //! environment that could invalidate an entry behind its back. Editing
 //! a file changes its hash, which *is* the invalidation.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Worker stack size: same contract as the CLI's single-file worker.
+/// Worker stack size: deep enough that the budget's depth cap, not the
+/// OS stack, bounds every recursive pipeline stage.
 pub const WORKER_STACK: usize = 256 * 1024 * 1024;
 
 /// A type-erased unit of work.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// The queues and lifecycle flag, under one lock. The lock is
-/// coarse-grained on purpose: tasks are whole pipeline runs
-/// (milliseconds), so queue traffic is far off the critical path and a
-/// single mutex keeps the steal protocol trivially race-free.
-struct Queues {
-    /// One deque per worker; owners pop from the back, thieves steal
-    /// from the front.
-    local: Vec<VecDeque<Task>>,
+/// The task queue and lifecycle flag, under one lock.
+struct Queue {
+    tasks: VecDeque<Task>,
     closed: bool,
+}
+
+thread_local! {
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a [`WorkerPool`] worker, and so has a
+/// [`WORKER_STACK`]-sized stack. The checker runs deep programs inline
+/// when this holds.
+pub fn on_worker() -> bool {
+    ON_WORKER.with(Cell::get)
 }
 
 /// Shared pool state.
 struct Shared {
-    queues: Mutex<Queues>,
+    queue: Mutex<Queue>,
     work_ready: Condvar,
     /// Tasks executed to completion (including panicking ones).
     jobs: AtomicU64,
-    /// Tasks taken from a sibling's deque.
-    steals: AtomicU64,
-    /// Peak total queued tasks across all deques.
+    /// Peak number of queued tasks.
     queue_depth_peak: AtomicU64,
     /// Tasks that unwound (caught).
     panics: AtomicU64,
@@ -87,8 +95,6 @@ struct Shared {
 pub struct PoolStats {
     /// Tasks executed to completion (including caught panics).
     pub jobs: u64,
-    /// Tasks an idle worker took from a sibling's deque.
-    pub steals: u64,
     /// Peak number of queued (not yet started) tasks.
     pub queue_depth_peak: u64,
     /// Tasks that panicked and were caught.
@@ -97,8 +103,8 @@ pub struct PoolStats {
     pub worker_busy_ns: Vec<u64>,
 }
 
-/// A fixed pool of persistent worker threads with work stealing and
-/// per-task panic isolation. See the [module docs](self).
+/// A fixed pool of persistent big-stack worker threads sharing one FIFO
+/// queue, with per-task panic isolation. See the [module docs](self).
 pub struct WorkerPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
@@ -114,13 +120,12 @@ impl WorkerPool {
     pub fn new(jobs: usize) -> std::io::Result<WorkerPool> {
         let jobs = jobs.max(1);
         let shared = Arc::new(Shared {
-            queues: Mutex::new(Queues {
-                local: (0..jobs).map(|_| VecDeque::new()).collect(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
                 closed: false,
             }),
             work_ready: Condvar::new(),
             jobs: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             queue_depth_peak: AtomicU64::new(0),
             panics: AtomicU64::new(0),
             busy_ns: (0..jobs).map(|_| AtomicU64::new(0)).collect(),
@@ -162,8 +167,7 @@ impl WorkerPool {
             Condvar::new(),
         ));
         {
-            let mut q = self.shared.queues.lock().unwrap_or_else(|e| e.into_inner());
-            let workers = q.local.len();
+            let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             for (i, task) in tasks.into_iter().enumerate() {
                 let slots = Arc::clone(&slots);
                 let shared = Arc::clone(&self.shared);
@@ -183,14 +187,11 @@ impl WorkerPool {
                     s.done += 1;
                     cond.notify_all();
                 });
-                // Round-robin placement: balanced by construction, and
-                // stealing rebalances the skewed tails.
-                q.local[i % workers].push_back(erased);
+                q.tasks.push_back(erased);
             }
-            let depth: usize = q.local.iter().map(VecDeque::len).sum();
             self.shared
                 .queue_depth_peak
-                .fetch_max(depth as u64, Ordering::Relaxed);
+                .fetch_max(q.tasks.len() as u64, Ordering::Relaxed);
             self.shared.work_ready.notify_all();
         }
         let (lock, cond) = &*slots;
@@ -205,7 +206,8 @@ impl WorkerPool {
     }
 
     /// Runs a single task on the pool (a one-request batch) — the
-    /// `fg serve` dispatch path.
+    /// dispatch path of `fg serve` and of every single-request CLI
+    /// command.
     pub fn run_one<T, F>(&self, task: F) -> Result<T, String>
     where
         T: Send + 'static,
@@ -220,7 +222,6 @@ impl WorkerPool {
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             jobs: self.shared.jobs.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
             queue_depth_peak: self.shared.queue_depth_peak.load(Ordering::Relaxed),
             panics: self.shared.panics.load(Ordering::Relaxed),
             worker_busy_ns: self
@@ -236,7 +237,7 @@ impl WorkerPool {
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut q = self.shared.queues.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             q.closed = true;
             self.shared.work_ready.notify_all();
         }
@@ -252,22 +253,15 @@ struct BatchSlots<T> {
     done: usize,
 }
 
-/// The worker body: pop the own deque LIFO, else steal FIFO from the
-/// next sibling round-robin, else sleep on the condvar.
+/// The worker body: take the oldest queued task, else sleep on the
+/// condvar until one arrives or the pool closes.
 fn worker_loop(id: usize, shared: &Shared) {
+    ON_WORKER.with(|w| w.set(true));
     loop {
         let task = {
-            let mut q = shared.queues.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
             loop {
-                if let Some(task) = q.local[id].pop_back() {
-                    break Some(task);
-                }
-                let workers = q.local.len();
-                let stolen = (1..workers)
-                    .map(|d| (id + d) % workers)
-                    .find_map(|victim| q.local[victim].pop_front());
-                if let Some(task) = stolen {
-                    shared.steals.fetch_add(1, Ordering::Relaxed);
+                if let Some(task) = q.tasks.pop_front() {
                     break Some(task);
                 }
                 if q.closed {
@@ -289,8 +283,9 @@ fn worker_loop(id: usize, shared: &Shared) {
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Best-effort extraction of a panic payload's message: the text of a
+/// `&str` or `String` payload, else `"unknown panic"`.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_owned())
@@ -451,27 +446,11 @@ mod tests {
     }
 
     #[test]
-    fn an_idle_worker_steals_from_a_busy_sibling() {
-        // Two workers, a batch whose round-robin placement puts all the
-        // slow work on worker 0's deque: worker 1 must steal to finish.
-        let pool = WorkerPool::new(2).unwrap();
-        let tasks: Vec<_> = (0..16)
-            .map(|i| {
-                move || {
-                    if i % 2 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(3));
-                    }
-                    i
-                }
-            })
-            .collect();
-        let results = pool.run_batch(tasks);
-        assert!(results.iter().all(Result::is_ok));
-        // On a single-core host both workers still run concurrently
-        // (sleeping releases the core), so steals still happen; but the
-        // schedule is the OS's, so only assert the counter is sane.
-        let stats = pool.stats();
-        assert!(stats.steals <= 16);
+    fn the_worker_marker_is_set_inside_tasks_only() {
+        let pool = WorkerPool::new(1).unwrap();
+        assert!(!on_worker());
+        assert!(pool.run_one(on_worker).unwrap());
+        assert!(!on_worker());
     }
 
     #[test]
@@ -487,20 +466,28 @@ mod tests {
     fn pool_checks_fg_programs_shared_nothing() {
         // The real workload: each task parses and checks its own
         // program with its own interner — results must match the
-        // single-threaded checker exactly.
+        // single-threaded checker exactly. The prelude program is deep
+        // enough that the test thread takes the checker's big-stack
+        // fallback while the pool checks it inline, so this also pins
+        // that the two paths agree.
+        let prelude = crate::stdlib::with_prelude("accumulate(range(1, 5))");
+        let sources = [crate::corpus::FIG5_ACCUMULATE.source.to_owned(), prelude];
+        let deep = crate::parser::parse_expr(&sources[1]).unwrap();
+        assert!(crate::check::depth_exceeds(&deep, crate::check::INLINE_DEPTH));
+        let summary = |src: &str| {
+            let expr = crate::parser::parse_expr(src).unwrap();
+            let c = crate::check_program(&expr).unwrap();
+            (c.ty.to_string(), c.elaborated.to_string(), c.check_stats)
+        };
         let pool = WorkerPool::new(4).unwrap();
-        let fig5 = crate::corpus::FIG5_ACCUMULATE.source;
         let tasks: Vec<_> = (0..8)
-            .map(|_| {
-                let src = fig5.to_owned();
-                move || {
-                    let expr = crate::parser::parse_expr(&src).unwrap();
-                    crate::check_program(&expr).unwrap().ty.to_string()
-                }
+            .map(|i| {
+                let src = sources[i % 2].clone();
+                move || summary(&src)
             })
             .collect();
-        for r in pool.run_batch(tasks) {
-            assert_eq!(r.unwrap(), "int");
+        for (i, r) in pool.run_batch(tasks).into_iter().enumerate() {
+            assert_eq!(r.unwrap(), summary(&sources[i % 2]));
         }
     }
 

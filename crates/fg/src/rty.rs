@@ -834,7 +834,7 @@ impl Store {
 /// Clones share the same arena (`Rc`), which is what lets every scope
 /// clone of the checker's equality engine keep its `TyId`s stable. The
 /// arena is deliberately `!Send`: a checker and its engines live on one
-/// thread (the big-stack worker spawns the checker *inside* the thread).
+/// thread (the checker is built on the thread that runs it).
 #[derive(Debug, Clone, Default)]
 pub struct TyInterner(Rc<RefCell<Store>>);
 

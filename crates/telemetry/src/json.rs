@@ -17,6 +17,8 @@
 //! assert_eq!(v.get("ok").and_then(Json::as_bool), Some(true));
 //! ```
 
+use std::fmt::Write as _;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -104,6 +106,13 @@ impl Json {
 /// responses (`fg-rpc/1` replies must never contain a raw newline).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_escaped(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a quoted JSON string literal on one line.
+/// Every JSON writer in the crate escapes through this function.
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -113,13 +122,12 @@ pub fn escape(s: &str) -> String {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 /// Parser state: a byte cursor. Recursion is bounded by `MAX_DEPTH`, so

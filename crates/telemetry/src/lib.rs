@@ -400,7 +400,7 @@ impl JsonWriter {
     /// it (suppressing that value's own comma/newline handling).
     pub fn key(&mut self, key: &str) {
         self.pre_element();
-        self.push_escaped(key);
+        json::push_escaped(&mut self.out, key);
         self.out.push_str(": ");
         self.after_key = true;
     }
@@ -420,31 +420,13 @@ impl JsonWriter {
     /// Emits a bare string value.
     pub fn value_str(&mut self, value: &str) {
         self.pre_element();
-        self.push_escaped(value);
+        json::push_escaped(&mut self.out, value);
     }
 
     /// Emits a bare integer value.
     pub fn value_u64(&mut self, value: u64) {
         self.pre_element();
         let _ = write!(self.out, "{value}");
-    }
-
-    fn push_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\r' => self.out.push_str("\\r"),
-                '\t' => self.out.push_str("\\t"),
-                c if (c as u32) < 0x20 => {
-                    let _ = write!(self.out, "\\u{:04x}", c as u32);
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
     }
 
     /// Finishes the document (with a trailing newline).
@@ -534,7 +516,7 @@ mod tests {
         b.add_phase_ns("parse", 5);
         b.add_phase_ns("check_translate", 7);
         b.add_counter("check", "model_lookups", 3);
-        b.add_counter("pool", "steals", 1);
+        b.add_counter("pool", "panics", 1);
 
         a.merge(&b);
         // Existing labels win; unset ones fill in.
@@ -543,7 +525,7 @@ mod tests {
         assert_eq!(a.phase_ns("parse"), Some(15));
         assert_eq!(a.phase_ns("check_translate"), Some(7));
         assert_eq!(a.counter("check", "model_lookups"), Some(5));
-        assert_eq!(a.counter("pool", "steals"), Some(1));
+        assert_eq!(a.counter("pool", "panics"), Some(1));
         // New groups land after existing ones.
         let groups: Vec<&str> = a.groups().map(|(g, _)| g).collect();
         assert_eq!(groups, ["check", "pool"]);

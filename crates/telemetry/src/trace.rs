@@ -55,6 +55,8 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::json::push_escaped;
+
 /// Version tag emitted in the [`Tracer::to_jsonl`] header line.
 pub const TRACE_SCHEMA: &str = "fg-trace/1";
 
@@ -417,11 +419,11 @@ impl Tracer {
 pub fn render_jsonl(command: &str, source: &str, events: &[Event], dropped: u64) -> String {
     let mut out = String::new();
     out.push_str("{\"schema\":");
-    push_json_str(&mut out, TRACE_SCHEMA);
+    push_escaped(&mut out, TRACE_SCHEMA);
     out.push_str(",\"command\":");
-    push_json_str(&mut out, command);
+    push_escaped(&mut out, command);
     out.push_str(",\"source\":");
-    push_json_str(&mut out, source);
+    push_escaped(&mut out, source);
     let _ = write!(out, ",\"events\":{}", events.len());
     let _ = write!(out, ",\"dropped\":{dropped}");
     out.push_str("}\n");
@@ -439,7 +441,7 @@ pub fn render_jsonl(command: &str, source: &str, events: &[Event], dropped: u64)
                     let _ = write!(out, ",\"parent\":{p}");
                 }
                 out.push_str(",\"name\":");
-                push_json_str(&mut out, name);
+                push_escaped(&mut out, name);
                 let _ = write!(out, ",\"ts_ns\":{ts_ns}");
                 push_attrs(&mut out, attrs);
                 out.push_str("}\n");
@@ -452,7 +454,7 @@ pub fn render_jsonl(command: &str, source: &str, events: &[Event], dropped: u64)
             } => {
                 let _ = write!(out, "{{\"ev\":\"end\",\"span\":{span}");
                 out.push_str(",\"name\":");
-                push_json_str(&mut out, name);
+                push_escaped(&mut out, name);
                 let _ = write!(out, ",\"ts_ns\":{ts_ns}");
                 push_attrs(&mut out, attrs);
                 out.push_str("}\n");
@@ -468,7 +470,7 @@ pub fn render_jsonl(command: &str, source: &str, events: &[Event], dropped: u64)
                     let _ = write!(out, ",\"span\":{s}");
                 }
                 out.push_str(",\"name\":");
-                push_json_str(&mut out, name);
+                push_escaped(&mut out, name);
                 let _ = write!(out, ",\"ts_ns\":{ts_ns}");
                 push_attrs(&mut out, attrs);
                 out.push_str("}\n");
@@ -501,7 +503,7 @@ pub fn render_chrome_json(events: &[Event]) -> String {
             } => ("i", *name, *ts_ns, attrs, *span),
         };
         out.push_str("{\"name\":");
-        push_json_str(&mut out, name);
+        push_escaped(&mut out, name);
         let _ = write!(
             out,
             ",\"ph\":\"{ph}\",\"pid\":1,\"tid\":1,\"ts\":{}.{:03}",
@@ -522,10 +524,10 @@ pub fn render_chrome_json(events: &[Event]) -> String {
                 out.push(',');
             }
             first_attr = false;
-            push_json_str(&mut out, k);
+            push_escaped(&mut out, k);
             out.push(':');
             match v {
-                AttrValue::Str(s) => push_json_str(&mut out, s),
+                AttrValue::Str(s) => push_escaped(&mut out, s),
                 AttrValue::U64(n) => {
                     let _ = write!(out, "{n}");
                 }
@@ -616,36 +618,16 @@ fn push_attrs(out: &mut String, attrs: &Attrs) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, k);
+        push_escaped(out, k);
         out.push(':');
         match v {
-            AttrValue::Str(s) => push_json_str(out, s),
+            AttrValue::Str(s) => push_escaped(out, s),
             AttrValue::U64(n) => {
                 let _ = write!(out, "{n}");
             }
         }
     }
     out.push('}');
-}
-
-/// Escapes `s` as a JSON string literal onto `out` (same escaping rules
-/// as [`crate::JsonWriter`], but compact).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------
