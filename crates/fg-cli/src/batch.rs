@@ -108,9 +108,10 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
 
     let results = pool.run_batch(tasks);
 
+    let label = format!("<batch of {}>", paths.len());
     let mut merged = Metrics::new();
     merged.set_command(cmd);
-    merged.set_source(&format!("<batch of {}>", paths.len()));
+    merged.set_source(&label);
     let mut worst = 0u8;
     for (path, result) in paths.iter().zip(results) {
         match result {
@@ -128,34 +129,7 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
     }
     crate::record_pool_stats(&mut merged, pool.jobs(), &pool.stats(), &cache);
 
-    if flags.profile {
-        eprint!("{}", merged.render_table());
-    }
-    if let Some(path) = &flags.metrics_json {
-        let json = merged.to_json();
-        if path == "-" {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, json) {
-            eprintln!("fg: cannot write {path}: {e}");
-            worst = worst.max(EXIT_DIAGNOSTIC);
-        }
-    }
-    if flags.trace.is_some() || flags.trace_chrome.is_some() {
-        let parts: Vec<_> = tracers.iter().map(|t| (t.events(), t.dropped())).collect();
-        let (events, dropped) = trace::merge_worker_events(parts);
-        let label = format!("<batch of {}>", paths.len());
-        if let Some(path) = &flags.trace {
-            if crate::write_report(path, &trace::render_jsonl(cmd, &label, &events, dropped))
-                .is_err()
-            {
-                worst = worst.max(EXIT_DIAGNOSTIC);
-            }
-        }
-        if let Some(path) = &flags.trace_chrome {
-            if crate::write_report(path, &trace::render_chrome_json(&events)).is_err() {
-                worst = worst.max(EXIT_DIAGNOSTIC);
-            }
-        }
-    }
-    worst
+    let (events, dropped) =
+        trace::merge_worker_events(tracers.iter().map(|t| (t.events(), t.dropped())).collect());
+    worst.max(crate::emit_telemetry(flags, &merged, cmd, &label, &events, dropped))
 }

@@ -83,7 +83,7 @@ use std::sync::Arc;
 
 use fg::pool::WorkerPool;
 use telemetry::limits::{Budget, Limits};
-use telemetry::trace::Tracer;
+use telemetry::trace::{self, Event, Tracer};
 use telemetry::Metrics;
 
 mod batch;
@@ -469,11 +469,15 @@ fn run_file(pool: &WorkerPool, cmd: &str, path: &str, flags: &Flags) -> u8 {
         Ok(output) => {
             print!("{}", output.stdout);
             eprint!("{}", output.stderr);
-            let emitted = finish(flags, output.metrics, &tracer, cmd, path);
-            match (output.code, emitted) {
-                (0, Err(code)) => code,
-                (code, _) => code,
-            }
+            let emitted = emit_telemetry(
+                flags,
+                &output.metrics,
+                cmd,
+                path,
+                &tracer.events(),
+                tracer.dropped(),
+            );
+            output.code.max(emitted)
         }
         Err(msg) => {
             eprintln!("fg: internal error: {path}: pipeline crashed: {msg}");
@@ -811,31 +815,38 @@ fn record_pool_stats(
     }
 }
 
-/// Emits the collected telemetry as requested by the flags.
-fn finish(flags: &Flags, metrics: Metrics, tracer: &Tracer, cmd: &str, source: &str) -> Result<(), u8> {
+/// Emits a run's telemetry as the flags request: the `--profile` table,
+/// the `--metrics-json` report, and the `--trace`/`--trace-chrome`
+/// event record, labelled `label`. Shared by the file-at-a-time path
+/// and the `--jobs` batch. Attempts every report and returns
+/// [`EXIT_DIAGNOSTIC`] if any could not be written, else 0.
+fn emit_telemetry(
+    flags: &Flags,
+    metrics: &Metrics,
+    cmd: &str,
+    label: &str,
+    events: &[Event],
+    dropped: u64,
+) -> u8 {
     if flags.profile {
         eprint!("{}", metrics.render_table());
     }
-    if let Some(path) = &flags.metrics_json {
-        let json = metrics.to_json();
-        if path == "-" {
-            print!("{json}");
-        } else if let Err(e) = std::fs::write(path, json) {
-            eprintln!("fg: cannot write {path}: {e}");
-            return Err(EXIT_DIAGNOSTIC);
+    let mut code = 0;
+    let mut write = |path: &str, contents: String| {
+        if write_report(path, &contents).is_err() {
+            code = EXIT_DIAGNOSTIC;
         }
+    };
+    if let Some(path) = &flags.metrics_json {
+        write(path, metrics.to_json());
     }
     if let Some(path) = &flags.trace {
-        if write_report(path, &tracer.to_jsonl(cmd, source)).is_err() {
-            return Err(EXIT_DIAGNOSTIC);
-        }
+        write(path, trace::render_jsonl(cmd, label, events, dropped));
     }
     if let Some(path) = &flags.trace_chrome {
-        if write_report(path, &tracer.to_chrome_json()).is_err() {
-            return Err(EXIT_DIAGNOSTIC);
-        }
+        write(path, trace::render_chrome_json(events));
     }
-    Ok(())
+    code
 }
 
 /// Writes a rendered report to `path` (`-` for stdout).

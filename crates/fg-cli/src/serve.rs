@@ -7,14 +7,13 @@
 //!
 //! ```text
 //! {"v":"fg-rpc/1","id":1,"method":"check","source":"iadd(1, 2)","prelude":false}
-//! {"v":"fg-rpc/1","id":2,"method":"bench-json"}
-//! {"v":"fg-rpc/1","id":3,"method":"stats"}
-//! {"v":"fg-rpc/1","id":4,"method":"shutdown"}
+//! {"v":"fg-rpc/1","id":2,"method":"stats"}
+//! {"v":"fg-rpc/1","id":3,"method":"shutdown"}
 //! ```
 //!
 //! `method` is any pipeline command (`check`, `explain`, `run`,
 //! `direct`, `translate`, `elaborate`, `vm`, `bytecode`, `fmt`, `ast`)
-//! or one of the daemon methods `bench-json`, `stats`, `shutdown`.
+//! or one of the daemon methods `stats`, `shutdown`.
 //! Responses:
 //!
 //! ```text
@@ -24,8 +23,8 @@
 //!
 //! `exit` carries the CLI exit-code contract (0 ok, 1 diagnostic,
 //! 3 caught crash); `output`/`diagnostics` are the buffered stdout and
-//! stderr of the request. `stats` and `bench-json` return their JSON
-//! document (fg-metrics/1 / fg-bench/1) as a string in `output`.
+//! stderr of the request. `stats` returns its fg-metrics/1 JSON
+//! document as a string in `output`.
 //!
 //! # Execution model
 //!
@@ -188,17 +187,6 @@ fn handle_request(line: &str, daemon: &Daemon) -> (String, bool) {
             );
             (doc_response(id, &metrics.to_json()), false)
         }
-        "bench-json" => {
-            // Quick mode unless the request says otherwise: a daemon
-            // answering interactive clients should not block for the
-            // full measurement budget by default.
-            let quick = req.get("quick").and_then(Json::as_bool).unwrap_or(true);
-            let report = daemon.pool.run_one(move || bench::runner::run_suite(quick));
-            match report {
-                Ok(report) => (doc_response(id, &report.to_json()), false),
-                Err(panic) => (crash_response(id, &panic), false),
-            }
-        }
         m if PIPELINE_METHODS.contains(&m) => {
             let Some(source) = req.get("source").and_then(Json::as_str) else {
                 return (error_response(id, "missing source"), false);
@@ -264,8 +252,8 @@ fn run_response(id: i64, code: u8, cached: bool, stdout: &str, stderr: &str) -> 
     )
 }
 
-/// A response carrying a whole JSON document (fg-metrics/1,
-/// fg-bench/1) as a string payload.
+/// A response carrying a whole JSON document (the `stats`
+/// fg-metrics/1 report) as a string payload.
 fn doc_response(id: i64, doc: &str) -> String {
     format!(
         "{{\"v\":\"fg-rpc/1\",\"id\":{id},\"ok\":true,\"exit\":0,\"output\":{}}}",

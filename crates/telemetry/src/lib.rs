@@ -33,14 +33,14 @@
 //!   are lower_snake_case. Values are non-negative integers (nanoseconds
 //!   for phases).
 //!
-//! * `fg-bench/1` ([`BenchReport::to_json`]) — a criterion-style run:
+//! * `fg-bench/1` ([`BenchReport::to_json`]) — one benchmark-suite run:
 //!
 //!   ```json
 //!   {
 //!     "schema": "fg-bench/1",
-//!     "harness": "congruence_scaling",
+//!     "harness": "fg-bench-json",
 //!     "benches": [
-//!       { "group": "congruence_chain", "id": "closure", "param": "1024",
+//!       { "group": "congruence_scaling", "id": "nelson_oppen", "param": "1024",
 //!         "iters": 55, "total_ns": 31000000, "mean_ns": 563636 }
 //!     ]
 //!   }
@@ -286,10 +286,10 @@ impl BenchEntry {
     }
 }
 
-/// A whole bench-harness run, serialized as `fg-bench/1`.
+/// A whole benchmark-suite run, serialized as `fg-bench/1`.
 #[derive(Debug, Clone, Default)]
 pub struct BenchReport {
-    /// The harness (bench binary) name.
+    /// The name of the harness that ran the suite.
     pub harness: String,
     /// Measured entries, in execution order.
     pub entries: Vec<BenchEntry>,

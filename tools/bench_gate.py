@@ -7,8 +7,7 @@ Usage:
     bench_gate.py scaling FILE [MIN_SPEEDUP]
 
 ``validate`` strictly checks each FILE against the fg-bench/1 schema
-emitted by ``fg bench-json`` and the vendored criterion harness:
-a top-level object with ``schema`` = "fg-bench/1", a ``harness`` string,
+emitted by ``fg bench-json``: a top-level object with ``schema`` = "fg-bench/1", a ``harness`` string,
 and a ``benches`` array whose entries carry exactly ``group``, ``id``,
 ``param``, ``iters``, ``total_ns``, and ``mean_ns`` with consistent
 values (mean_ns == total_ns // iters).
@@ -16,8 +15,11 @@ values (mean_ns == total_ns // iters).
 ``compare`` gates the groups in GATED_GROUPS on a per-group geometric
 mean of ``mean_ns``. CURRENT may be several runs of the same suite;
 they are reduced bench-wise to their minimum first, because scheduler
-noise only ever inflates a measurement. The gate fails when a gated
-group's reduced geomean exceeds THRESHOLD x the baseline's geomean.
+noise only ever inflates a measurement. The gate fails when a run
+lacks a gated baseline bench (one without ``@`` in its id), so a
+renamed or dropped bench cannot leave the gate silently, and when a
+gated group's reduced geomean exceeds THRESHOLD x the baseline's
+geomean.
 Per-bench ratios are printed for diagnosis either way.
 
 ``scaling`` reads the ``throughput/check_batch`` benches of FILE and
@@ -100,12 +102,15 @@ def compare(baseline_path, current_paths):
         vals = [r[key] for r in runs if key in r]
         current[key] = min(vals)
 
+    gated = [k for k in base if k[0] in GATED_GROUPS and "@" not in k[1]]
+    for path, run in zip(current_paths, runs):
+        missing = sorted(k for k in gated if k not in run)
+        if missing:
+            fail(f"{path}: lacks gated baseline benches: {missing}")
+
     bad = []
     for group in GATED_GROUPS:
-        keys = sorted(
-            k for k in base
-            if k[0] == group and "@" not in k[1] and k in current
-        )
+        keys = sorted(k for k in gated if k[0] == group)
         if not keys:
             fail(f"{baseline_path}: no '{group}' benches to gate")
         for k in keys:
