@@ -139,6 +139,27 @@ assert second["cached"] is True, "repeat request must hit the compile cache"
 pool = json.loads(stats["output"])["counters"]["pool"]
 assert pool["cache_hits"] >= 1, pool
 PYEOF
+    # Prelude bodies through the daemon: each worker checks the prelude
+    # once and every later body runs against that snapshot, so each reply
+    # must equal a one-shot run of the same body.
+    printf 'accumulate[int](range(1, 10))\n' > "$CI_TMP/body1.fg"
+    printf 'count_if[list int](range(0, 10), lam x: int. ilt(x, 4))\n' > "$CI_TMP/body2.fg"
+    for method in check run; do
+        for body in body1 body2; do
+            "$FG" --prelude rpc --addr "$addr" "$method" "$CI_TMP/$body.fg" \
+                > "$CI_TMP/rpc-$method-$body.json" || true
+            code=0
+            "$FG" --prelude "$method" "$CI_TMP/$body.fg" \
+                > "$CI_TMP/one-$method-$body.out" 2> /dev/null || code=$?
+            python3 - "$CI_TMP/rpc-$method-$body.json" "$CI_TMP/one-$method-$body.out" "$code" <<'PYEOF'
+import json, sys
+reply = json.load(open(sys.argv[1]))
+one_shot = open(sys.argv[2]).read()
+assert reply["exit"] == int(sys.argv[3]), (reply, sys.argv[3])
+assert reply["output"] == one_shot, (reply, one_shot)
+PYEOF
+        done
+    done
     "$FG" rpc --addr "$addr" shutdown > /dev/null
     code=0
     wait "$serve_pid" || code=$?

@@ -134,10 +134,15 @@ fn model_lookup(suite: &mut Suite) {
     }
 }
 
+/// The body every `stl_prelude` entry runs on top of the prelude.
+const PRELUDE_BODY: &str = "accumulate[int](range(1, 10))";
+
 /// A library-scale program — the full STL-flavoured prelude plus a
-/// body — through parse, check+translate, and evaluation.
+/// body — through parse, check+translate, and evaluation; and the body
+/// alone checked against the prelude's snapshot (`check_body`), the
+/// cost of a `--prelude` request's check once its worker is warm.
 fn stl_prelude(suite: &mut Suite) {
-    let src = fg::stdlib::with_prelude("accumulate[int](range(1, 10))");
+    let src = fg::stdlib::with_prelude(PRELUDE_BODY);
     suite.bench("stl_prelude", "parse", "", || {
         fg::parser::parse_expr(black_box(&src)).unwrap()
     });
@@ -148,6 +153,22 @@ fn stl_prelude(suite: &mut Suite) {
     let compiled = fg::check_program(&expr).expect("prelude checks");
     suite.bench("stl_prelude", "eval", "", || {
         system_f::eval(black_box(&compiled.term)).unwrap()
+    });
+    let prefix = fg::stdlib::prelude_prefix(Default::default()).expect("prelude parses");
+    let snapshot = fg::prefix::Snapshot::check_shared(std::rc::Rc::new(prefix), Default::default())
+        .expect("prelude checks");
+    let body = snapshot
+        .prefix()
+        .parse_body(PRELUDE_BODY, Default::default())
+        .expect("body parses");
+    suite.bench("stl_prelude", "check_body", "", || {
+        snapshot
+            .check_body(
+                black_box(&body),
+                telemetry::trace::Tracer::disabled(),
+                Default::default(),
+            )
+            .unwrap()
     });
 }
 
@@ -325,7 +346,7 @@ mod tests {
         // Every planned benchmark reported, group by group.
         let groups = [
             ("model_lookup", 4),
-            ("stl_prelude", 3),
+            ("stl_prelude", 4),
             ("congruence_scaling", 5 + 3),
             ("throughput", 3),
             ("dictionary_overhead", 4 * 4),
@@ -340,7 +361,7 @@ mod tests {
             assert_eq!(got, count, "entries in group {group}");
         }
         let total: usize = groups.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, 83);
+        assert_eq!(total, 84);
         assert_eq!(report.entries.len(), total);
         // Keys are unique, and every measurement is nonzero.
         let mut keys = HashSet::new();

@@ -116,7 +116,7 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
     for (path, result) in paths.iter().zip(results) {
         match result {
             Ok(output) => {
-                print!("{}", output.stdout);
+                crate::print_out(&output.stdout);
                 eprint!("{}", output.stderr);
                 merged.merge(&output.metrics);
                 worst = worst.max(output.code);

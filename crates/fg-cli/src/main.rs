@@ -14,8 +14,9 @@
 //!
 //! Pass `-` as the file to read from stdin, or `--prelude` before the
 //! subcommand to wrap the program in the STL-flavoured prelude of
-//! `fg::stdlib`. Several files may be given; they are processed in order
-//! and the worst outcome determines the exit code.
+//! `fg::stdlib` (checked once per worker; see the `prelude` module).
+//! Several files may be given; they are processed in order and the worst
+//! outcome determines the exit code.
 //!
 //! Every command that runs the pipeline runs it on a worker of
 //! `fg::pool`, whose threads are the only ones with a stack big enough
@@ -77,7 +78,7 @@
 //! decision tree and the proof chain of every same-type constraint.
 
 use std::fmt::Write as _;
-use std::io::Read;
+use std::io::{Read, Write as _};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -88,8 +89,19 @@ use telemetry::Metrics;
 
 mod batch;
 mod explain;
+mod prelude;
 mod repl;
 mod serve;
+#[cfg(test)]
+mod tests;
+
+use prelude::Prelude;
+
+/// Every subcommand that runs the pipeline on a source program (and so
+/// every pipeline method of `fg serve`).
+const PIPELINE_METHODS: [&str; 10] = [
+    "check", "translate", "run", "direct", "elaborate", "explain", "vm", "bytecode", "fmt", "ast",
+];
 
 /// Exit code: the program was rejected or failed at runtime.
 const EXIT_DIAGNOSTIC: u8 = 1;
@@ -286,7 +298,7 @@ fn real_main() -> u8 {
         Err(code) => return code,
     };
     if flags.help {
-        println!("{}", usage_text());
+        print_out(&format!("{}\n", usage_text()));
         return 0;
     }
     // Arm fault injection (flag wins over FG_FAULT) before any pipeline
@@ -337,13 +349,7 @@ fn real_main() -> u8 {
     let Some((cmd, paths)) = args.split_first() else {
         return usage();
     };
-    if paths.is_empty()
-        || !matches!(
-            cmd.as_str(),
-            "check" | "translate" | "run" | "direct" | "elaborate" | "explain" | "vm" | "bytecode"
-                | "fmt" | "ast"
-        )
-    {
+    if paths.is_empty() || !PIPELINE_METHODS.contains(&cmd.as_str()) {
         return usage();
     }
     // Every file runs as an isolated pool task, so one crashing input
@@ -423,7 +429,7 @@ fn bench_json(args: &[String]) -> u8 {
     let json = report.to_json();
     match out.as_deref() {
         None | Some("-") => {
-            print!("{json}");
+            print_out(&json);
             0
         }
         Some(path) => match std::fs::write(path, json) {
@@ -467,7 +473,7 @@ fn run_file(pool: &WorkerPool, cmd: &str, path: &str, flags: &Flags) -> u8 {
     };
     match pool.run_one(task) {
         Ok(output) => {
-            print!("{}", output.stdout);
+            print_out(&output.stdout);
             eprint!("{}", output.stderr);
             let emitted = emit_telemetry(
                 flags,
@@ -519,14 +525,20 @@ fn run_request(
     metrics.set_command(cmd);
     metrics.set_source(path);
     let budget = Arc::new(Budget::new(limits));
-    let full = if use_prelude {
-        fg::stdlib::with_prelude(source)
-    } else {
-        source.to_owned()
-    };
+    let prelude = Prelude::for_request(use_prelude, tracer);
     let mut out = String::new();
     let mut err = String::new();
-    let status = stages(cmd, path, &full, &budget, tracer, &mut metrics, &mut out, &mut err);
+    let status = stages(
+        cmd,
+        path,
+        source,
+        prelude,
+        &budget,
+        tracer,
+        &mut metrics,
+        &mut out,
+        &mut err,
+    );
     record_limits(&mut metrics, &budget, tracer);
     RunOutput {
         code: status.err().unwrap_or(0),
@@ -536,14 +548,18 @@ fn run_request(
     }
 }
 
-/// The command pipeline proper: everything from parse to output. All
-/// output goes into the `out`/`err` buffers so the caller decides where
-/// it lands (terminal, batch slot, RPC response, cache entry).
+/// The command pipeline proper: everything from parse to output. The
+/// body `source` is parsed and checked on its own, against the
+/// `prelude`'s checked prefix; only the lanes that print or run the
+/// whole program splice the two together. All output goes into the
+/// `out`/`err` buffers so the caller decides where it lands (terminal,
+/// batch slot, RPC response, cache entry).
 #[allow(clippy::too_many_arguments)]
 fn stages(
     cmd: &str,
     path: &str,
-    full: &str,
+    source: &str,
+    prelude: Prelude,
     budget: &Arc<Budget>,
     tracer: &Tracer,
     metrics: &mut Metrics,
@@ -552,11 +568,13 @@ fn stages(
 ) -> Result<(), u8> {
     let sp = tracer.begin("parse", vec![("source", path.into())]);
     let parsed = metrics.phase("parse", || {
-        fg::parser::parse_expr_budgeted(full, budget.clone())
+        let prefix = prelude.prefix(budget)?;
+        let body = prefix.parse_body(source, budget.clone())?;
+        Ok::<_, system_f::ParseError>((prefix, body))
     });
     tracer.end(sp);
-    let expr = match parsed {
-        Ok(e) => e,
+    let (prefix, body) = match parsed {
+        Ok(p) => p,
         Err(e) => {
             let _ = writeln!(err, "fg: parse error: {e}");
             return Err(EXIT_DIAGNOSTIC);
@@ -564,24 +582,26 @@ fn stages(
     };
 
     if cmd == "ast" {
-        let _ = writeln!(out, "{expr:#?}");
+        let _ = writeln!(out, "{:#?}", prefix.splice(body));
         return Ok(());
     }
     if cmd == "fmt" {
-        let _ = write!(out, "{}", fg::format::format_program(&expr));
+        let _ = write!(out, "{}", fg::format::format_program(&prefix.splice(body)));
         return Ok(());
     }
     let sp = tracer.begin("check", vec![("source", path.into())]);
     // A large Err variant is fine here: this runs once per invocation.
     #[allow(clippy::result_large_err)]
     let checked = metrics.phase("check_translate", || {
-        fg::check::check_program_budgeted(&expr, tracer.clone(), budget.clone())
+        let snapshot = prelude.snapshot(&prefix, tracer, budget)?;
+        let compiled = snapshot.check_body(&body, tracer.clone(), budget.clone())?;
+        Ok::<_, fg::CheckError>((snapshot, compiled))
     });
     tracer.end(sp);
-    let compiled = match checked {
+    let (snapshot, compiled) = match checked {
         Ok(c) => c,
         Err(e) => {
-            let _ = writeln!(err, "fg: {}", e.render(full));
+            let _ = writeln!(err, "fg: {}", e.render(&prefix.source_with(source)));
             return Err(EXIT_DIAGNOSTIC);
         }
     };
@@ -593,17 +613,22 @@ fn stages(
             Ok(())
         }
         "explain" => {
-            let _ = write!(out, "{}", explain::render(&tracer.events(), full));
+            let _ = write!(
+                out,
+                "{}",
+                explain::render(&tracer.events(), &prefix.source_with(source))
+            );
             Ok(())
         }
         "elaborate" => {
-            let _ = writeln!(out, "{}", compiled.elaborated);
+            let _ = writeln!(out, "{}", snapshot.splice_elaborated(compiled.elaborated));
             Ok(())
         }
         "direct" => {
+            let program = snapshot.splice_elaborated(compiled.elaborated);
             let sp = tracer.begin("direct_eval", Vec::new());
             let outcome = metrics.phase("direct_eval", || {
-                fg::interp::run_direct_budgeted(&compiled.elaborated, tracer.clone(), budget.clone())
+                fg::interp::run_direct_budgeted(&program, tracer.clone(), budget.clone())
             });
             tracer.end(sp);
             match outcome {
@@ -619,11 +644,12 @@ fn stages(
             }
         }
         "translate" => {
-            let _ = writeln!(out, "{}", compiled.term);
+            let _ = writeln!(out, "{}", snapshot.splice_term(compiled.term));
             Ok(())
         }
         "bytecode" => {
-            let outcome = metrics.phase("vm_compile", || system_f::vm::compile(&compiled.term));
+            let program = snapshot.splice_term(compiled.term);
+            let outcome = metrics.phase("vm_compile", || system_f::vm::compile(&program));
             match outcome {
                 Ok(p) => {
                     let _ = write!(out, "{p}");
@@ -636,8 +662,9 @@ fn stages(
             }
         }
         "vm" => {
+            let term = snapshot.splice_term(compiled.term);
             let sp = tracer.begin("vm_compile", Vec::new());
-            let program = metrics.phase("vm_compile", || system_f::vm::compile(&compiled.term));
+            let program = metrics.phase("vm_compile", || system_f::vm::compile(&term));
             tracer.end(sp);
             match program {
                 Ok(p) => {
@@ -666,14 +693,16 @@ fn stages(
         }
         "run" => {
             let sp = tracer.begin("sf_typecheck", Vec::new());
-            let well_typed = metrics.phase("sf_typecheck", || system_f::typecheck(&compiled.term));
+            let well_typed =
+                metrics.phase("sf_typecheck", || snapshot.typecheck_body(&compiled.term));
             tracer.end(sp);
             if let Err(e) = well_typed {
                 let _ = writeln!(err, "fg: internal error: translation is ill-typed: {e}");
                 return Err(EXIT_DIAGNOSTIC);
             }
             let sp = tracer.begin("sf_eval", Vec::new());
-            let outcome = metrics.phase("sf_eval", || system_f::eval_budgeted(&compiled.term, budget));
+            let outcome =
+                metrics.phase("sf_eval", || snapshot.eval_body(&compiled.term, budget));
             tracer.end(sp);
             match outcome {
                 Ok(v) => {
@@ -852,12 +881,24 @@ fn emit_telemetry(
 /// Writes a rendered report to `path` (`-` for stdout).
 fn write_report(path: &str, contents: &str) -> Result<(), ()> {
     if path == "-" {
-        print!("{contents}");
+        print_out(contents);
         return Ok(());
     }
     std::fs::write(path, contents).map_err(|e| {
         eprintln!("fg: cannot write {path}: {e}");
     })
+}
+
+/// Writes `text` to stdout: the one way `fg` prints its results. A
+/// closed pipe or a full disk is a diagnostic, not a crash: `fg` reports
+/// it once on stderr and exits with [`EXIT_DIAGNOSTIC`] at once, since
+/// nothing after it could be printed either.
+fn print_out(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
+        eprintln!("fg: cannot write output: {e}");
+        std::process::exit(i32::from(EXIT_DIAGNOSTIC));
+    }
 }
 
 fn read_source(path: &str) -> std::io::Result<String> {

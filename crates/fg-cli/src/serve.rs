@@ -47,16 +47,10 @@ use telemetry::json::{self, Json};
 use telemetry::trace::Tracer;
 use telemetry::Metrics;
 
-use crate::{CachedRun, Flags, EXIT_CRASH, EXIT_DIAGNOSTIC};
+use crate::{CachedRun, Flags, EXIT_CRASH, EXIT_DIAGNOSTIC, PIPELINE_METHODS};
 
 /// Compile-cache bound for the daemon (epoch-flushed when exceeded).
 const CACHE_CAPACITY: usize = 4096;
-
-/// The pipeline methods the daemon will run, i.e. every CLI subcommand
-/// that takes a source program.
-const PIPELINE_METHODS: [&str; 10] = [
-    "check", "translate", "run", "direct", "elaborate", "explain", "vm", "bytecode", "fmt", "ast",
-];
 
 /// Shared daemon state: the pool, the cache, and the server's limits.
 struct Daemon {
@@ -103,8 +97,7 @@ pub fn serve_main(flags: &Flags, args: &[String]) -> u8 {
     };
     // The bound address is the daemon's one startup line: clients (and
     // the CI smoke test) read it to discover a port-0 allocation.
-    println!("fg: serving fg-rpc/1 on {local}");
-    let _ = std::io::stdout().flush();
+    crate::print_out(&format!("fg: serving fg-rpc/1 on {local}\n"));
 
     for stream in listener.incoming() {
         match stream {
@@ -374,7 +367,7 @@ pub fn rpc_main(flags: &Flags, args: &[String]) -> u8 {
     }
     // The raw response line is the client's stdout: scripts pipe it
     // into a JSON-aware consumer.
-    println!("{}", response.trim_end());
+    crate::print_out(&format!("{}\n", response.trim_end()));
     let Ok(parsed) = Json::parse(response.trim_end()) else {
         eprintln!("fg: rpc: response is not valid JSON");
         return EXIT_DIAGNOSTIC;

@@ -438,3 +438,130 @@ fn adversarial_corpus_exits_with_diagnostics() {
     }
     assert!(seen >= 4, "expected at least 4 adversarial examples, saw {seen}");
 }
+
+/// A scratch file under the test target directory, unique per process.
+fn scratch_file(name: &str, contents: &str) -> String {
+    let path = format!("{}/{}-{name}", env!("CARGO_TARGET_TMPDIR"), std::process::id());
+    std::fs::write(&path, contents).expect("write scratch file");
+    path
+}
+
+/// A stdout whose reader has gone is a diagnostic (exit 1, one line on
+/// stderr), not a panic — on the sequential path and under `--jobs`.
+#[test]
+fn closed_stdout_is_a_diagnostic_not_a_panic() {
+    let a = scratch_file("closed-a.fg", "accumulate[int](range(1, 5))");
+    let b = scratch_file("closed-b.fg", "accumulate[int](range(1, 6))");
+    for jobs in [&["--jobs", "1"][..], &[][..]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_fg"))
+            .arg("--prelude")
+            .args(jobs)
+            .args(["run", &a, &b])
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run fg");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{jobs:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{jobs:?}: {stderr}");
+        assert_eq!(
+            stderr.matches("fg: cannot write output: ").count(),
+            1,
+            "{jobs:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(a).ok();
+    std::fs::remove_file(b).ok();
+}
+
+/// The `check.*`, `congruence.*` and `limits.fuel_spent` counters of
+/// an `fg --metrics-json` run on `paths`.
+fn body_counters(args: &[&str], paths: &[&str]) -> Vec<(String, i64)> {
+    let metrics = scratch_file("counters.json", "");
+    let mut argv = vec!["--metrics-json", metrics.as_str()];
+    argv.extend_from_slice(args);
+    argv.push("check");
+    argv.extend_from_slice(paths);
+    let (_, stderr, code) = run_fg_code(&argv, "");
+    assert_eq!(code, 0, "{stderr}");
+    let doc = telemetry::json::Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    std::fs::remove_file(&metrics).ok();
+    let counters = doc.get("counters").expect("counters");
+    let mut out = Vec::new();
+    for group in ["check", "congruence"] {
+        let Some(telemetry::json::Json::Obj(fields)) = counters.get(group) else {
+            panic!("no {group} group in {doc:?}");
+        };
+        for (key, value) in fields {
+            out.push((format!("{group}.{key}"), value.as_i64().unwrap()));
+        }
+    }
+    let fuel = counters.get("limits").and_then(|l| l.get("fuel_spent"));
+    out.push((
+        "limits.fuel_spent".to_owned(),
+        fuel.and_then(|f| f.as_i64()).unwrap(),
+    ));
+    out
+}
+
+/// With `--prelude`, a request's counters cover its body alone: two
+/// bodies that differ in a literal count the same, whichever runs first
+/// on the worker, and far less than the whole program re-checked.
+#[test]
+fn prelude_request_counters_cover_the_body_alone() {
+    let a = scratch_file("count-a.fg", "accumulate[int](range(1, 10))");
+    let b = scratch_file("count-b.fg", "accumulate[int](range(1, 11))");
+    let whole = scratch_file(
+        "count-whole.fg",
+        &fg::stdlib::with_prelude("accumulate[int](range(1, 10))"),
+    );
+    let prelude = ["--prelude", "--jobs", "1"];
+    let alone_a = body_counters(&prelude, &[&a]);
+    let alone_b = body_counters(&prelude, &[&b]);
+    assert_eq!(alone_a, alone_b);
+    let batch = body_counters(&prelude, &[&a, &b]);
+    for ((key, one), (bkey, both)) in alone_a.iter().zip(&batch) {
+        assert_eq!(key, bkey);
+        assert_eq!(
+            *both,
+            2 * one,
+            "{key}: the batch's second body counted differently"
+        );
+    }
+    let whole_counters = body_counters(&[], &[&whole]);
+    for key in [
+        "check.model_lookups",
+        "check.candidates_scanned",
+        "limits.fuel_spent",
+    ] {
+        let get = |c: &[(String, i64)]| c.iter().find(|(k, _)| k == key).unwrap().1;
+        assert!(
+            get(&alone_a) * 4 < get(&whole_counters),
+            "{key}: body {} vs whole program {}",
+            get(&alone_a),
+            get(&whole_counters)
+        );
+    }
+    for f in [a, b, whole] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// Fault plans still reach inside the prelude: an injected fault on the
+/// third checked expression fires in the prelude's declarations (exit 1,
+/// as for the whole program), and its panic mode is still caught (3).
+#[test]
+fn injected_faults_fire_inside_the_prelude() {
+    let body = scratch_file("fault.fg", "accumulate[int](range(1, 10))");
+    let fault = |spec| ["--prelude", "--inject-fault", spec, "check", &body];
+    let (_, stderr, code) = run_fg_code(&fault("check.expr@3"), "");
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("injected fault"), "{stderr}");
+    // The third checked expression is the third concept declaration.
+    assert!(stderr.contains("concept Group<t>"), "{stderr}");
+    let (_, stderr, code) = run_fg_code(&fault("check.expr@3:panic"), "");
+    assert_eq!(code, 3, "{stderr}");
+    std::fs::remove_file(body).ok();
+}

@@ -182,6 +182,60 @@ impl Expr {
     pub fn spanned(kind: ExprKind, span: Span) -> Expr {
         Expr { kind, span }
     }
+
+    /// The hole of a declaration prefix ([`crate::prefix::Prefix`]): the
+    /// place a program body goes. It is a variable no source text can
+    /// name, so it never clashes with a program's own.
+    pub fn hole(span: Span) -> Expr {
+        Expr::spanned(ExprKind::Var(hole_symbol()), span)
+    }
+
+    /// Whether this is [`Expr::hole`].
+    pub fn is_hole(&self) -> bool {
+        matches!(self.kind, ExprKind::Var(x) if x == hole_symbol())
+    }
+
+    /// The body a `concept`, `model`, `type` or `let` declaration scopes
+    /// over; `None` for every other form.
+    pub fn decl_body(&self) -> Option<&Expr> {
+        match &self.kind {
+            ExprKind::Concept(_, body)
+            | ExprKind::Model(_, body)
+            | ExprKind::TypeAlias(_, _, body)
+            | ExprKind::Let(_, _, body) => Some(body),
+            _ => None,
+        }
+    }
+
+    /// [`Expr::decl_body`], mutably.
+    fn decl_body_mut(&mut self) -> Option<&mut Expr> {
+        match &mut self.kind {
+            ExprKind::Concept(_, body)
+            | ExprKind::Model(_, body)
+            | ExprKind::TypeAlias(_, _, body)
+            | ExprKind::Let(_, _, body) => Some(body),
+            _ => None,
+        }
+    }
+
+    /// A copy of this declaration chain with `body` in place of its hole
+    /// (the hole reached through [`Expr::decl_body`] links); `None` if
+    /// the chain ends without one.
+    pub(crate) fn fill_hole(&self, body: Expr) -> Option<Expr> {
+        let mut out = self.clone();
+        let mut slot = &mut out;
+        while !slot.is_hole() {
+            slot = slot.decl_body_mut()?;
+        }
+        *slot = body;
+        Some(out)
+    }
+}
+
+/// The name of [`Expr::hole`]: `<` cannot start an identifier.
+pub(crate) fn hole_symbol() -> Symbol {
+    static HOLE: std::sync::OnceLock<Symbol> = std::sync::OnceLock::new();
+    *HOLE.get_or_init(|| Symbol::intern("<hole>"))
 }
 
 /// The F_G expression forms (`e` in Figures 4 and 11).

@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use system_f::{Prim, Symbol, Term};
 use telemetry::fault::{self, FaultMode};
-use telemetry::limits::{Budget, Exhausted, Resource};
+use telemetry::limits::{Budget, DepthGuard, Exhausted, Resource};
 use telemetry::trace::{SpanId, Tracer};
 
 use crate::ast::{ConceptDecl, ConceptItem, Constraint, Expr, ExprKind, FgTy, ModelDecl, ModelItem};
@@ -157,13 +157,7 @@ pub fn check_program_budgeted(
     // other caller (tests, doc tests, embedding code on a small stack)
     // gets a dedicated big-stack thread. The tracer handle is shared, so
     // the record is seamless across the thread boundary.
-    let check = move || {
-        let mut checker = Checker::new();
-        checker.set_tracer(tracer);
-        checker.set_budget(budget);
-        let (ty, term, elaborated) = checker.check_elab(e)?;
-        Ok(compiled(checker, ty, term, elaborated))
-    };
+    let check = move || Checker::new().check_body(e, tracer, budget);
     if crate::pool::on_worker() || !depth_exceeds(e, INLINE_DEPTH) {
         return check();
     }
@@ -196,17 +190,6 @@ const CHECKER_STACK_BYTES: usize = 64 * 1024 * 1024;
 /// Wraps a budget-exhaustion record as a spanned check error.
 fn exhausted_err(x: Exhausted, phase: &'static str, span: Span) -> CheckError {
     CheckError::new(ErrorKind::ResourceExhausted { exhausted: x, phase }, span)
-}
-
-fn compiled(checker: Checker, ty: RTy, term: Term, elaborated: Expr) -> Compiled {
-    Compiled {
-        ty,
-        term,
-        elaborated,
-        check_stats: checker.stats(),
-        type_eq_stats: checker.type_eq_stats(),
-        intern_stats: checker.intern_stats(),
-    }
 }
 
 /// Converts a checker-thread panic payload into a structured
@@ -538,6 +521,11 @@ impl Checker {
     /// scope clones all report the same figures).
     pub fn intern_stats(&self) -> InternStats {
         self.teq.intern_stats()
+    }
+
+    /// The type interner this checker's equality engine shares.
+    pub(crate) fn interner(&self) -> crate::rty::TyInterner {
+        self.teq.interner()
     }
 
     /// Pushes a model entry, keeping the per-concept index in sync and
@@ -1822,26 +1810,85 @@ impl Checker {
     /// the direct interpreter can execute exactly what was typechecked.
     pub fn check_elab(&mut self, e: &Expr) -> Result<(RTy, Term, Expr), CheckError> {
         let budget = self.budget.clone();
-        budget
-            .charge_fuel(1)
-            .map_err(|x| exhausted_err(x, "check", e.span))?;
-        let _depth = budget.enter().map_err(|x| exhausted_err(x, "check", e.span))?;
-        match fault::hit("check.expr") {
-            None => {}
-            Some(FaultMode::Error) => {
-                budget.trip(Resource::Injected, 0);
-                return Err(exhausted_err(
-                    Exhausted {
-                        resource: Resource::Injected,
-                        limit: 0,
-                    },
-                    "check",
-                    e.span,
-                ));
-            }
-            Some(FaultMode::Panic) => panic!("injected fault panic at check.expr"),
-        }
+        let _depth = visit(&budget, e.span)?;
         self.check_elab_rec(e)
+    }
+
+    /// Checks a program body in this checker's environment — typically a
+    /// snapshot's, at the hole of a checked prefix — leaving `self`
+    /// untouched: the body is checked in a clone with `tracer` and
+    /// `budget` attached. The counters in the result cover the body's
+    /// work only.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`CheckError`] in the body.
+    pub fn check_body(
+        &self,
+        body: &Expr,
+        tracer: Tracer,
+        budget: Arc<Budget>,
+    ) -> Result<Compiled, CheckError> {
+        let mut checker = self.clone();
+        checker.stats = CheckStats::default();
+        checker.set_tracer(tracer);
+        checker.set_budget(budget);
+        let intern_base = self.intern_stats();
+        let (ty, term, elaborated) = checker.check_elab(body)?;
+        Ok(Compiled {
+            ty,
+            term,
+            elaborated,
+            check_stats: checker.stats,
+            type_eq_stats: checker.type_eq_stats().delta_since(&self.type_eq_stats()),
+            intern_stats: checker.intern_stats().delta_since(&intern_base),
+        })
+    }
+
+    /// Enters the declarations on `prefix`'s chain down to its hole
+    /// ([`Expr::hole`]), leaving the checker in the scope a body there
+    /// would be checked in. Each declaration is visited and entered
+    /// exactly as [`Checker::check_elab`] enters it inside a whole
+    /// program. Returns the declarations' frames, outermost first, and
+    /// the trace spans still open at the hole (closed by
+    /// [`Checker::close_spine`] once the body is checked).
+    pub(crate) fn enter_spine(
+        &mut self,
+        prefix: &Expr,
+    ) -> Result<(Vec<Frame>, Vec<SpanId>), CheckError> {
+        let budget = self.budget.clone();
+        // Depth is held down the chain, as the nested check holds it.
+        let mut depth = Vec::new();
+        let mut frames = Vec::new();
+        let mut open = Vec::new();
+        let mut e = prefix;
+        while !e.is_hole() {
+            let entered = visit(&budget, e.span).and_then(|guard| {
+                depth.push(guard);
+                self.enter_decl(e)
+            });
+            let (frame, undo, body) = match entered {
+                Ok(entered) => entered,
+                Err(err) => {
+                    self.close_spine(&open, false);
+                    return Err(err);
+                }
+            };
+            if let Undo::Model(_, sp) = undo {
+                open.push(sp);
+            }
+            frames.push(frame);
+            e = body;
+        }
+        Ok((frames, open))
+    }
+
+    /// Closes the `dict_build` spans [`Checker::enter_spine`] left open,
+    /// innermost first, with the outcome of the body checked inside them.
+    pub(crate) fn close_spine(&self, open: &[SpanId], ok: bool) {
+        for &sp in open.iter().rev() {
+            self.tracer.end_with(sp, vec![("outcome", outcome(ok).into())]);
+        }
     }
 
     fn check_elab_rec(&mut self, e: &Expr) -> Result<(RTy, Term, Expr), CheckError> {
@@ -2083,20 +2130,16 @@ impl Checker {
                     ),
                 ))
             }
-            ExprKind::Let(x, bound, body) => {
-                let (bty, bterm, belab) = self.check_elab(bound)?;
-                self.vars.push((*x, bty));
+            ExprKind::Let(..)
+            | ExprKind::Concept(..)
+            | ExprKind::Model(..)
+            | ExprKind::TypeAlias(..) => {
+                let (frame, undo, body) = self.enter_decl(e)?;
                 let result = self.check_elab(body);
-                self.vars.pop();
-                let (ty, term, body_elab) = result?;
-                Ok((
-                    ty,
-                    Term::let_(*x, bterm, term),
-                    Expr::spanned(
-                        ExprKind::Let(*x, Box::new(belab), Box::new(body_elab)),
-                        span,
-                    ),
-                ))
+                self.leave_decl(undo, result.is_ok());
+                let (ty, term, elab) = result?;
+                let (term, elab) = frame.wrap(term, elab);
+                Ok((ty, term, elab))
             }
             ExprKind::If(c, t, f) => {
                 let (cty, cterm, celab) = self.check_elab(c)?;
@@ -2138,41 +2181,6 @@ impl Checker {
                     Term::Fix(*x, sf_ty, Box::new(bterm)),
                     Expr::spanned(
                         ExprKind::Fix(*x, ty.clone(), Box::new(belab)),
-                        span,
-                    ),
-                ))
-            }
-            ExprKind::Concept(decl, body) => {
-                let cid = self.check_concept_decl(decl)?;
-                self.concept_names.push((decl.name, cid));
-                let result = self.check_elab(body);
-                self.concept_names.pop();
-                let (ty, term, belab) = result?;
-                Ok((
-                    ty,
-                    term,
-                    Expr::spanned(
-                        ExprKind::Concept(decl.clone(), Box::new(belab)),
-                        span,
-                    ),
-                ))
-            }
-            ExprKind::Model(decl, body) => self.check_model_decl(decl, body),
-            ExprKind::TypeAlias(name, ty, body) => {
-                // Aliases are fully transparent: occurrences expand at
-                // resolution time, so the alias name never appears in any
-                // type that escapes this scope.
-                let rhs = self.resolve_ty(ty, span)?;
-                let n = self.ty_vars.len();
-                self.ty_vars.push((*name, Some(rhs)));
-                let result = self.check_elab(body);
-                self.ty_vars.truncate(n);
-                let (rty, term, belab) = result?;
-                Ok((
-                    rty,
-                    term,
-                    Expr::spanned(
-                        ExprKind::TypeAlias(*name, ty.clone(), Box::new(belab)),
                         span,
                     ),
                 ))
@@ -2482,12 +2490,74 @@ impl Checker {
         result
     }
 
-    /// Checks a model declaration (the MDL rule) and its body.
-    fn check_model_decl(
-        &mut self,
-        decl: &ModelDecl,
-        body: &Expr,
-    ) -> Result<(RTy, Term, Expr), CheckError> {
+    /// Enters a declaration expression (`concept`, `model`, `type` or
+    /// `let`): checks the declaration itself and brings it into scope.
+    /// Returns the frame its body's translation and elaboration are
+    /// wrapped in, what [`Checker::leave_decl`] must undo once the body
+    /// is checked, and the body.
+    fn enter_decl<'e>(&mut self, e: &'e Expr) -> Result<(Frame, Undo, &'e Expr), CheckError> {
+        let span = e.span;
+        let (kind, undo, body) = match &e.kind {
+            ExprKind::Concept(decl, body) => {
+                let cid = self.check_concept_decl(decl)?;
+                self.concept_names.push((decl.name, cid));
+                (FrameKind::Concept(decl.clone()), Undo::ConceptName, body)
+            }
+            ExprKind::Model(decl, body) => {
+                let (kind, undo) = self.enter_model(decl)?;
+                (kind, undo, body)
+            }
+            ExprKind::TypeAlias(name, ty, body) => {
+                // Aliases are fully transparent: occurrences expand at
+                // resolution time, so the alias name never appears in any
+                // type that escapes this scope.
+                let rhs = self.resolve_ty(ty, span)?;
+                let n = self.ty_vars.len();
+                self.ty_vars.push((*name, Some(rhs)));
+                (
+                    FrameKind::TypeAlias(*name, ty.clone()),
+                    Undo::TyVars(n),
+                    body,
+                )
+            }
+            ExprKind::Let(x, bound, body) => {
+                let (bty, bterm, belab) = self.check_elab(bound)?;
+                self.vars.push((*x, bty));
+                (FrameKind::Let(*x, bterm, belab), Undo::Var, body)
+            }
+            _ => {
+                return self.err(
+                    ErrorKind::Internal("expected a declaration".to_owned()),
+                    span,
+                )
+            }
+        };
+        Ok((Frame { kind, span }, undo, body))
+    }
+
+    /// Takes a declaration back out of scope once its body is checked;
+    /// `ok` says whether the body checked.
+    fn leave_decl(&mut self, undo: Undo, ok: bool) {
+        match undo {
+            Undo::ConceptName => {
+                self.concept_names.pop();
+            }
+            Undo::TyVars(n) => self.ty_vars.truncate(n),
+            Undo::Var => {
+                self.vars.pop();
+            }
+            Undo::Model(saved, sp) => {
+                self.restore(*saved);
+                self.close_spine(&[sp], ok);
+            }
+        }
+    }
+
+    /// Enters a model declaration (the MDL rule): checks it, assembles
+    /// its dictionary, and brings the model into scope. The
+    /// `dict_build` span stays open over the body; `leave_decl` closes
+    /// it.
+    fn enter_model(&mut self, decl: &ModelDecl) -> Result<(FrameKind, Undo), CheckError> {
         let sp = self.tracer.begin_with("dict_build", || {
             vec![
                 ("concept", decl.concept.to_string().into()),
@@ -2496,23 +2566,17 @@ impl Checker {
                 ("span_end", decl.span.end.into()),
             ]
         });
-        let out = self.check_model_decl_inner(decl, body);
-        self.tracer.end_with(
-            sp,
-            vec![(
-                "outcome",
-                if out.is_ok() { "ok" } else { "error" }.into(),
-            )],
-        );
-        out
+        match self.enter_model_inner(decl) {
+            Ok((kind, saved)) => Ok((kind, Undo::Model(Box::new(saved), sp))),
+            Err(e) => {
+                self.close_spine(&[sp], false);
+                Err(e)
+            }
+        }
     }
 
     #[allow(clippy::redundant_closure_call)]
-    fn check_model_decl_inner(
-        &mut self,
-        decl: &ModelDecl,
-        body: &Expr,
-    ) -> Result<(RTy, Term, Expr), CheckError> {
+    fn enter_model_inner(&mut self, decl: &ModelDecl) -> Result<(FrameKind, Saved), CheckError> {
         let span = decl.span;
         let cid = self
             .lookup_concept(decl.concept)
@@ -2800,38 +2864,6 @@ impl Checker {
             inner
         };
 
-        // Enter the model's scope for the body: ordinary models assert
-        // their associated-type equalities (parameterized ones are handled
-        // by normalization at lookup time), then register the entry.
-        let saved = self.save();
-        let result = (|| {
-            if !parameterized {
-                for (n, t) in &assoc {
-                    let proj = RTy::Assoc {
-                        concept: cid,
-                        concept_name: decl.concept,
-                        args: args.clone(),
-                        name: *n,
-                    };
-                    self.teq.assert_eq(&proj, t);
-                }
-            }
-            self.push_model(ModelEntry {
-                concept: cid,
-                args: args.clone(),
-                dict: dict_name,
-                path: Vec::new(),
-                assoc: assoc.clone(),
-                under_construction: None,
-                params: decl.params.clone(),
-                constraints: rconstraints.clone(),
-                decl_span: span,
-                is_proxy: false,
-            });
-            self.check_elab(body)
-        })();
-        self.restore(saved);
-        let (bty, bterm, belab) = result?;
         // Rebuild the declaration with elaborated member bodies (defaults
         // stay in the concept and are elaborated per model at check time).
         let items = decl
@@ -2855,14 +2887,123 @@ impl Checker {
             items,
             span: decl.span,
         };
+
+        // Enter the model's scope for the body: ordinary models assert
+        // their associated-type equalities (parameterized ones are handled
+        // by normalization at lookup time), then register the entry.
+        let saved = self.save();
+        if !parameterized {
+            for (n, t) in &assoc {
+                let proj = RTy::Assoc {
+                    concept: cid,
+                    concept_name: decl.concept,
+                    args: args.clone(),
+                    name: *n,
+                };
+                self.teq.assert_eq(&proj, t);
+            }
+        }
+        self.push_model(ModelEntry {
+            concept: cid,
+            args,
+            dict: dict_name,
+            path: Vec::new(),
+            assoc,
+            under_construction: None,
+            params: decl.params.clone(),
+            constraints: rconstraints,
+            decl_span: span,
+            is_proxy: false,
+        });
         Ok((
-            bty,
-            Term::let_(dict_name, dict_value, bterm),
-            Expr::spanned(
-                ExprKind::Model(Box::new(elab_decl), Box::new(belab)),
-                decl.span,
-            ),
+            FrameKind::Model(dict_name, dict_value, Box::new(elab_decl)),
+            saved,
         ))
+    }
+}
+
+/// A checked declaration's share of the translation and the
+/// elaboration: what [`Frame::wrap`] puts around its body's.
+#[derive(Debug, Clone)]
+pub(crate) struct Frame {
+    kind: FrameKind,
+    /// The declaration expression's span.
+    span: Span,
+}
+
+#[derive(Debug, Clone)]
+enum FrameKind {
+    /// Concepts leave no trace in the translation.
+    Concept(Box<ConceptDecl>),
+    /// Type aliases leave no trace in the translation either.
+    TypeAlias(Symbol, FgTy),
+    /// `let x = e`: the translated and the elaborated bound term.
+    Let(Symbol, Term, Expr),
+    /// A model: its dictionary's name and value, and the declaration
+    /// with elaborated member bodies.
+    Model(Symbol, Term, Box<ModelDecl>),
+}
+
+impl Frame {
+    /// The declaration's translation and elaboration around its body's.
+    pub(crate) fn wrap(self, term: Term, elab: Expr) -> (Term, Expr) {
+        match self.kind {
+            FrameKind::Concept(decl) => (
+                term,
+                Expr::spanned(ExprKind::Concept(decl, Box::new(elab)), self.span),
+            ),
+            FrameKind::TypeAlias(name, ty) => (
+                term,
+                Expr::spanned(ExprKind::TypeAlias(name, ty, Box::new(elab)), self.span),
+            ),
+            FrameKind::Let(x, bterm, belab) => (
+                Term::let_(x, bterm, term),
+                Expr::spanned(ExprKind::Let(x, Box::new(belab), Box::new(elab)), self.span),
+            ),
+            FrameKind::Model(dict, value, decl) => (
+                Term::let_(dict, value, term),
+                Expr::spanned(ExprKind::Model(decl, Box::new(elab)), self.span),
+            ),
+        }
+    }
+}
+
+/// What entering a declaration added to the checker's scope.
+enum Undo {
+    ConceptName,
+    TyVars(usize),
+    Var,
+    /// The scope before the model, and its open `dict_build` span.
+    Model(Box<Saved>, SpanId),
+}
+
+/// Charges one checked expression node against `budget`: a unit of
+/// fuel, a level of depth (held while the guard lives), and a visit of
+/// the `check.expr` fault point.
+fn visit(budget: &Budget, span: Span) -> Result<DepthGuard<'_>, CheckError> {
+    budget
+        .charge_fuel(1)
+        .map_err(|x| exhausted_err(x, "check", span))?;
+    let depth = budget
+        .enter()
+        .map_err(|x| exhausted_err(x, "check", span))?;
+    match fault::hit("check.expr") {
+        None => Ok(depth),
+        Some(FaultMode::Error) => Err(exhausted_err(
+            budget.trip(Resource::Injected, 0),
+            "check",
+            span,
+        )),
+        Some(FaultMode::Panic) => panic!("injected fault panic at check.expr"),
+    }
+}
+
+/// The `outcome` attribute of a closed checker span.
+fn outcome(ok: bool) -> &'static str {
+    if ok {
+        "ok"
+    } else {
+        "error"
     }
 }
 

@@ -60,6 +60,7 @@
 //! | [`interp`] | direct big-step interpreter (differential oracle) |
 //! | [`limits`] | resource budgets: governed, panic-free pipeline entry points |
 //! | [`pool`] | persistent big-stack worker pool + compile cache behind the CLI and `fg serve` |
+//! | [`prefix`] | declaration prefixes (libraries) checked once, with a hole for program bodies |
 //! | [`pretty`] | pretty-printer for the surface syntax |
 //! | [`stdlib`] | an STL-flavoured concept library written in F_G |
 //! | [`corpus`] | the paper's figures as runnable programs |
@@ -82,6 +83,7 @@ pub mod interp;
 pub mod limits;
 pub mod parser;
 pub mod pool;
+pub mod prefix;
 pub mod pretty;
 pub mod rty;
 pub mod stdlib;

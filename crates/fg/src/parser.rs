@@ -38,7 +38,7 @@
 
 use std::sync::Arc;
 
-use system_f::lexer::{lex, Span, Token, TokenKind};
+use system_f::lexer::{lex, lex_at, Span, Token, TokenKind};
 use system_f::{ParseError, Prim, Symbol};
 use telemetry::limits::{Budget, Resource};
 
@@ -88,6 +88,17 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 ///
 /// As [`parse_expr`], plus [`ParseError::TooDeep`].
 pub fn parse_expr_budgeted(src: &str, budget: Arc<Budget>) -> Result<Expr, ParseError> {
+    parse_expr_at(src, 0, budget)
+}
+
+/// [`parse_expr_budgeted`] for a program body that starts `base` bytes
+/// into a larger source (behind a [`crate::prefix::Prefix`]): spans and
+/// error positions are those the body has in the whole text.
+///
+/// # Errors
+///
+/// As [`parse_expr_budgeted`].
+pub fn parse_expr_at(src: &str, base: usize, budget: Arc<Budget>) -> Result<Expr, ParseError> {
     if let Some(mode) = telemetry::fault::hit("parse") {
         match mode {
             telemetry::fault::FaultMode::Error => {
@@ -100,9 +111,30 @@ pub fn parse_expr_budgeted(src: &str, budget: Arc<Budget>) -> Result<Expr, Parse
             telemetry::fault::FaultMode::Panic => panic!("injected fault panic at parse"),
         }
     }
-    let tokens = lex(src)?;
+    parse_tokens(lex_at(src, base)?, budget, false)
+}
+
+/// Parses a declaration prefix: a chain of `concept`, `model`, `type`
+/// and `let` declarations, each ending in `in`, that stops at the end of
+/// the input (the empty chain is the empty input). The result is that
+/// chain with [`Expr::hole`] as its innermost body. Only the chain itself
+/// may end at the hole: a declaration nested inside a term still needs
+/// its body.
+///
+/// # Errors
+///
+/// As [`parse_expr_budgeted`]. Unlike it, this visits no fault point:
+/// a prefix is library text, parsed apart from any request.
+pub fn parse_prefix(src: &str, budget: Arc<Budget>) -> Result<Expr, ParseError> {
+    parse_tokens(lex(src)?, budget, true)
+}
+
+/// Parses all of `tokens` as one expression under `budget`; `spine`
+/// parses it as a prefix's declaration chain.
+fn parse_tokens(tokens: Vec<Token>, budget: Arc<Budget>, spine: bool) -> Result<Expr, ParseError> {
     let mut p = FgParser::new(tokens);
     p.set_budget(budget);
+    p.spine = spine;
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -127,6 +159,9 @@ struct FgParser {
     depth: usize,
     depth_limit: usize,
     budget: Option<Arc<Budget>>,
+    /// Set while the next expression is on the declaration chain of a
+    /// prefix ([`parse_prefix`]), where end of input is the hole.
+    spine: bool,
 }
 
 impl FgParser {
@@ -137,6 +172,7 @@ impl FgParser {
             depth: 0,
             depth_limit: PARSE_DEPTH_FALLBACK,
             budget: None,
+            spine: false,
         }
     }
 
@@ -400,13 +436,24 @@ impl FgParser {
         out
     }
 
+    /// The body a declaration scopes over: a prefix's chain continues
+    /// into it.
+    fn decl_body(&mut self, on_spine: bool) -> Result<Expr, ParseError> {
+        self.spine = on_spine;
+        self.expr()
+    }
+
     fn expr_rec(&mut self) -> Result<Expr, ParseError> {
+        let on_spine = std::mem::take(&mut self.spine);
         let start = self.peek().span;
+        if on_spine && self.at(TokenKind::Eof) {
+            return Ok(Expr::hole(start));
+        }
         if self.at_kw("concept") {
             self.bump();
             let decl = self.concept_decl(start)?;
             self.expect_kw("in")?;
-            let body = self.expr()?;
+            let body = self.decl_body(on_spine)?;
             return Ok(Expr::spanned(
                 ExprKind::Concept(Box::new(decl), Box::new(body)),
                 start,
@@ -416,7 +463,7 @@ impl FgParser {
             self.bump();
             let decl = self.model_decl(start)?;
             self.expect_kw("in")?;
-            let body = self.expr()?;
+            let body = self.decl_body(on_spine)?;
             return Ok(Expr::spanned(
                 ExprKind::Model(Box::new(decl), Box::new(body)),
                 start,
@@ -428,7 +475,7 @@ impl FgParser {
             self.expect(TokenKind::Eq, "`=`")?;
             let ty = self.ty()?;
             self.expect_kw("in")?;
-            let body = self.expr()?;
+            let body = self.decl_body(on_spine)?;
             return Ok(Expr::spanned(
                 ExprKind::TypeAlias(name, ty, Box::new(body)),
                 start,
@@ -470,7 +517,7 @@ impl FgParser {
             self.expect(TokenKind::Eq, "`=`")?;
             let bound = self.expr()?;
             self.expect_kw("in")?;
-            let body = self.expr()?;
+            let body = self.decl_body(on_spine)?;
             return Ok(Expr::spanned(
                 ExprKind::Let(x, Box::new(bound), Box::new(body)),
                 start,

@@ -11,9 +11,11 @@
 //! type interner, substitution memo, and where-clause memo are all
 //! per-[`crate::check::Checker`] state, a batch of files shards
 //! shared-nothing: each worker builds its own interner per request and
-//! touches no cross-request mutable state. The only shared structures
-//! are this module's queue, counters, and the (immutable-once-inserted)
-//! compile cache.
+//! shares no mutable state with other workers. (A `--prelude` request
+//! reuses its worker's checked prelude, [`crate::prefix::Snapshot`],
+//! whose interner is rolled back after every body.) The only shared
+//! structures are this module's queue, counters, and the
+//! (immutable-once-inserted) compile cache.
 //!
 //! # Pool shape
 //!

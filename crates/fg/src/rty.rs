@@ -389,6 +389,32 @@ pub struct InternStats {
     pub arena_constraints: u64,
 }
 
+impl InternStats {
+    /// The counters accumulated since `base` was captured from the same
+    /// arena; the arena sizes stay gauges of the arena now.
+    pub fn delta_since(&self, base: &InternStats) -> InternStats {
+        InternStats {
+            hits: self.hits.saturating_sub(base.hits),
+            misses: self.misses.saturating_sub(base.misses),
+            subst_hits: self.subst_hits.saturating_sub(base.subst_hits),
+            subst_misses: self.subst_misses.saturating_sub(base.subst_misses),
+            ..*self
+        }
+    }
+}
+
+/// A point in an interner's history to roll back to: see
+/// [`TyInterner::mark`].
+#[derive(Debug, Clone)]
+pub struct InternMark {
+    nodes: usize,
+    cnodes: usize,
+    substs: usize,
+    subst_cached: usize,
+    csubst_cached: usize,
+    stats: InternStats,
+}
+
 #[derive(Debug, Default)]
 struct Store {
     nodes: Vec<TyNode>,
@@ -400,6 +426,10 @@ struct Store {
     subst_ids: HashMap<Rc<[(Symbol, TyId)]>, SubstId>,
     subst_cache: HashMap<(TyId, SubstId), TyId>,
     csubst_cache: HashMap<(CtId, SubstId), CtId>,
+    /// The keys of `subst_cache` and `csubst_cache` in insertion order,
+    /// so a rollback removes exactly the entries added since a mark.
+    subst_cached: Vec<(TyId, SubstId)>,
+    csubst_cached: Vec<(CtId, SubstId)>,
     stats: InternStats,
     budget: Option<Arc<Budget>>,
 }
@@ -789,6 +819,7 @@ impl Store {
             }
         };
         self.subst_cache.insert((id, sid), out);
+        self.subst_cached.push((id, sid));
         out
     }
 
@@ -818,6 +849,7 @@ impl Store {
             }
         };
         self.csubst_cache.insert((id, sid), out);
+        self.csubst_cached.push((id, sid));
         out
     }
 }
@@ -936,6 +968,66 @@ impl TyInterner {
     /// Counter snapshot for the `intern.*` metrics group.
     pub fn stats(&self) -> InternStats {
         self.0.borrow().stats
+    }
+
+    /// The arena's current extent and counters, for [`TyInterner::truncate`].
+    pub fn mark(&self) -> InternMark {
+        let store = self.0.borrow();
+        InternMark {
+            nodes: store.nodes.len(),
+            cnodes: store.cnodes.len(),
+            substs: store.substs.len(),
+            subst_cached: store.subst_cached.len(),
+            csubst_cached: store.csubst_cached.len(),
+            stats: store.stats,
+        }
+    }
+
+    /// Rolls the arena back to `mark`: forgets every type, constraint,
+    /// substitution and cached substitution interned since, restores the
+    /// counters, and detaches the budget. Handles interned since the mark
+    /// dangle afterwards; handles from before it stay valid. A checked
+    /// prefix's arena is rolled back after each body, so it does not grow
+    /// with the number of bodies checked against it.
+    pub fn truncate(&self, mark: &InternMark) {
+        let mut store = self.0.borrow_mut();
+        if mark.nodes == 0 && mark.cnodes == 0 && mark.substs == 0 {
+            *store = Store::default();
+            return;
+        }
+        let Store {
+            nodes,
+            meta,
+            hashcons,
+            cnodes,
+            chashcons,
+            substs,
+            subst_ids,
+            subst_cache,
+            csubst_cache,
+            subst_cached,
+            csubst_cached,
+            stats,
+            budget,
+        } = &mut *store;
+        for key in subst_cached.drain(mark.subst_cached..) {
+            subst_cache.remove(&key);
+        }
+        for key in csubst_cached.drain(mark.csubst_cached..) {
+            csubst_cache.remove(&key);
+        }
+        for key in substs.drain(mark.substs..) {
+            subst_ids.remove(&key);
+        }
+        for node in cnodes.drain(mark.cnodes..) {
+            chashcons.remove(&node);
+        }
+        for node in nodes.drain(mark.nodes..) {
+            hashcons.remove(&node);
+        }
+        meta.truncate(mark.nodes);
+        *stats = mark.stats;
+        *budget = None;
     }
 
     /// Charges all *future* arena growth against `budget`'s max-terms

@@ -8,7 +8,8 @@
 //! concepts, all in F_G source.
 //!
 //! [`PRELUDE`] is an open chain of `concept … in model … in let … in`
-//! declarations; [`with_prelude`] appends a program body to it.
+//! declarations; [`with_prelude`] appends a program body to it, and
+//! [`prelude_prefix`] parses it as a [`Prefix`] to check once and reuse.
 //!
 //! Declared concepts:
 //!
@@ -25,6 +26,13 @@
 //! Generic algorithms: `accumulate`, `it_accumulate`, `copy_to`,
 //! `count_if`, `all_of`, `any_of`, `min_element`, `contains`, plus the
 //! list utilities `length`, `append`, `range`, `reverse`.
+
+use std::sync::Arc;
+
+use system_f::ParseError;
+use telemetry::limits::Budget;
+
+use crate::prefix::Prefix;
 
 /// The prelude source. Ends expecting a body expression (see
 /// [`with_prelude`]).
@@ -187,11 +195,29 @@ pub fn with_prelude(body: &str) -> String {
     format!("{PRELUDE}\n{body}\n")
 }
 
+/// The prelude as a declaration [`Prefix`], to be checked once and
+/// reused: its source around a body is exactly [`with_prelude`]'s.
+///
+/// # Errors
+///
+/// Returns a parse error only if `budget` is too tight for the prelude.
+pub fn prelude_prefix(budget: Arc<Budget>) -> Result<Prefix, ParseError> {
+    Prefix::parse(&format!("{PRELUDE}\n"), "\n", budget)
+}
+
 #[cfg(test)]
 mod tests {
-    use super::with_prelude;
+    use super::{prelude_prefix, with_prelude};
     use crate::run;
     use system_f::Value;
+
+    #[test]
+    fn prelude_prefix_surrounds_a_body_as_with_prelude_does() {
+        let prefix = prelude_prefix(Default::default()).unwrap();
+        for body in ["", "accumulate[int](range(1, 5))", "  x\n"] {
+            assert_eq!(prefix.source_with(body), with_prelude(body));
+        }
+    }
 
     fn run_p(body: &str) -> Value {
         run(&with_prelude(body)).unwrap_or_else(|e| panic!("{body}: {e}"))

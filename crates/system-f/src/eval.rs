@@ -428,6 +428,36 @@ pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalE
     }
 }
 
+/// Evaluates the bound terms of `term`'s chain of `let`s in `env`, each
+/// binding in scope of the ones after it, and returns the environment
+/// the chain's innermost body runs in, with that body (not evaluated).
+/// Every `let` node is charged and probed exactly as [`eval_in_b`]
+/// charges it inside the whole term, and its depth is held down the
+/// chain.
+///
+/// # Errors
+///
+/// Returns the first [`EvalError`] of a bound term or of the budget.
+pub fn eval_lets<'t>(
+    mut term: &'t Term,
+    env: &Env,
+    budget: &Budget,
+) -> Result<(Env, &'t Term), EvalError> {
+    let mut env = env.clone();
+    let mut depth = Vec::new();
+    while let Term::Let(x, bound, body) = term {
+        budget
+            .charge_fuel(1)
+            .map_err(EvalError::ResourceExhausted)?;
+        depth.push(budget.enter().map_err(EvalError::ResourceExhausted)?);
+        fault_point(budget)?;
+        let v = eval_in_b(bound, &env, budget)?;
+        env = env.bind(*x, v);
+        term = body;
+    }
+    Ok((env, term))
+}
+
 /// Applies a function value to evaluated arguments.
 pub fn apply(f: Value, args: Vec<Value>) -> Result<Value, EvalError> {
     apply_b(f, args, Budget::unlimited_ref())

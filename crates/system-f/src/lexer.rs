@@ -179,7 +179,19 @@ impl std::error::Error for LexError {}
 /// Returns a [`LexError`] for characters outside the alphabet, overflowing
 /// integer literals, and unterminated block comments.
 pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+    lex_at(src, 0)
+}
+
+/// [`lex`] for text that starts `base` bytes into a larger source: every
+/// span and error position is offset by `base`, so a program body lexed
+/// on its own reports the positions it has behind a prefix.
+///
+/// # Errors
+///
+/// As [`lex`].
+pub fn lex_at(src: &str, base: usize) -> Result<Vec<Token>, LexError> {
     let bytes = src.as_bytes();
+    let at = |start: usize, end: usize| Span::new(base + start, base + end);
     let mut tokens = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
@@ -198,7 +210,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 i += 2;
                 loop {
                     if i + 1 >= bytes.len() {
-                        return Err(LexError::UnterminatedComment { at: start });
+                        return Err(LexError::UnterminatedComment { at: base + start });
                     }
                     if bytes[i] == b'*' && bytes[i + 1] == b'/' {
                         i += 2;
@@ -212,7 +224,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
-                let span = Span::new(start, i);
+                let span = at(start, i);
                 let text = &src[start..i];
                 let n: i64 = text.parse().map_err(|_| LexError::IntOverflow { span })?;
                 tokens.push(Token {
@@ -229,17 +241,17 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 }
                 tokens.push(Token {
                     kind: TokenKind::Ident(Symbol::intern(&src[start..i])),
-                    span: Span::new(start, i),
+                    span: at(start, i),
                 });
             }
             _ => {
                 let single = |kind| Token {
                     kind,
-                    span: Span::new(i, i + 1),
+                    span: at(i, i + 1),
                 };
                 let double = |kind| Token {
                     kind,
-                    span: Span::new(i, i + 2),
+                    span: at(i, i + 2),
                 };
                 let (tok, adv) = match b {
                     b'(' => (single(TokenKind::LParen), 1),
@@ -260,7 +272,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     b'-' => (single(TokenKind::Minus), 1),
                     _ => {
                         let ch = src[i..].chars().next().unwrap_or('\u{FFFD}');
-                        return Err(LexError::UnexpectedChar { ch, at: i });
+                        return Err(LexError::UnexpectedChar { ch, at: base + i });
                     }
                 };
                 tokens.push(tok);
@@ -270,7 +282,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     }
     tokens.push(Token {
         kind: TokenKind::Eof,
-        span: Span::new(src.len(), src.len()),
+        span: at(src.len(), src.len()),
     });
     Ok(tokens)
 }
@@ -361,6 +373,22 @@ mod tests {
         let toks = lex(src).unwrap();
         assert_eq!(&src[toks[0].span.start..toks[0].span.end], "ab");
         assert_eq!(&src[toks[1].span.start..toks[1].span.end], "cd");
+    }
+
+    #[test]
+    fn lex_at_offsets_spans_and_errors() {
+        let toks = lex_at("ab 7", 100).unwrap();
+        assert_eq!(toks[0].span, Span::new(100, 102));
+        assert_eq!(toks[1].span, Span::new(103, 104));
+        assert_eq!(toks[2].span, Span::new(104, 104), "end of input");
+        assert_eq!(
+            lex_at("a @", 10),
+            Err(LexError::UnexpectedChar { ch: '@', at: 12 })
+        );
+        assert_eq!(
+            lex_at(" /* x", 10),
+            Err(LexError::UnterminatedComment { at: 11 })
+        );
     }
 
     #[test]

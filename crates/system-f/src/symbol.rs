@@ -7,7 +7,8 @@
 //! `&'static str` without lifetime plumbing. A language-implementation
 //! process interns a bounded set of names, so the leak is bounded too.
 
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -34,6 +35,14 @@ struct Interner {
     /// full so long-running processes (benchmark loops, REPLs) do not grow
     /// the interner without bound.
     recycled: Vec<Symbol>,
+    /// Fresh symbols recycling must skip: names that outlive the
+    /// compilation that created them (see [`Symbol::pinning`]).
+    pinned: HashSet<Symbol>,
+}
+
+thread_local! {
+    /// Set while [`Symbol::pinning`] runs on this thread.
+    static PINNING: Cell<bool> = const { Cell::new(false) };
 }
 
 /// How many distinct `fresh` symbols are created before recycling begins.
@@ -49,6 +58,7 @@ fn interner() -> &'static Mutex<Interner> {
             by_name: HashMap::new(),
             names: Vec::new(),
             recycled: Vec::new(),
+            pinned: HashSet::new(),
         })
     })
 }
@@ -73,13 +83,21 @@ impl Symbol {
     /// capture-avoiding renaming.
     pub fn fresh(base: &str) -> Symbol {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
+        let pin = PINNING.with(Cell::get);
         loop {
             let n = COUNTER.fetch_add(1, Ordering::Relaxed);
             let mut int = interner().lock().expect("interner poisoned");
             // Once the pool is full, recycle earlier fresh symbols instead
-            // of growing the interner forever.
-            if int.recycled.len() >= FRESH_POOL {
-                return int.recycled[n as usize % FRESH_POOL];
+            // of growing the interner forever — all but the pinned ones.
+            if int.recycled.len() >= FRESH_POOL && int.pinned.len() < FRESH_POOL {
+                let sym = int.recycled[n as usize % FRESH_POOL];
+                if int.pinned.contains(&sym) {
+                    continue;
+                }
+                if pin {
+                    int.pinned.insert(sym);
+                }
+                return sym;
             }
             let candidate = format!("{base}_{n}");
             if int.by_name.contains_key(candidate.as_str()) {
@@ -90,8 +108,27 @@ impl Symbol {
             int.names.push(leaked);
             int.by_name.insert(leaked, sym);
             int.recycled.push(sym);
+            if pin {
+                int.pinned.insert(sym);
+            }
             return sym;
         }
+    }
+
+    /// Runs `f`, pinning every fresh symbol it creates on this thread:
+    /// recycling never hands a pinned symbol out again. Recycling is safe
+    /// for names bound inside the one compilation that made them; names
+    /// that outlive it — a checked prefix shared by many program bodies —
+    /// must be pinned, or a later body could be given one of them.
+    pub fn pinning<R>(f: impl FnOnce() -> R) -> R {
+        struct Restore(bool);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                PINNING.with(|p| p.set(self.0));
+            }
+        }
+        let _restore = Restore(PINNING.with(|p| p.replace(true)));
+        f()
     }
 
     /// The interned string.

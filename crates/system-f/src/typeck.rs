@@ -95,12 +95,30 @@ impl std::error::Error for TypeError {}
 
 /// A typing context: term-variable bindings plus type variables in scope.
 #[derive(Debug, Clone, Default)]
-struct Ctx {
+pub struct Ctx {
     vars: Vec<(Symbol, Ty)>,
     ty_vars: Vec<Symbol>,
 }
 
 impl Ctx {
+    /// Typechecks the bound terms of `term`'s chain of `let`s, each in
+    /// the context of the ones before it, and binds them; returns the
+    /// chain's innermost body, left unchecked. `typecheck_in(body)` then
+    /// types the body exactly as `typecheck` types it inside the chain.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`TypeError`] in a bound term; the context then
+    /// holds the bindings before it.
+    pub fn bind_lets<'t>(&mut self, mut term: &'t Term) -> Result<&'t Term, TypeError> {
+        while let Term::Let(x, bound, body) = term {
+            let bty = check(bound, self)?;
+            self.vars.push((*x, bty));
+            term = body;
+        }
+        Ok(term)
+    }
+
     fn lookup(&self, x: Symbol) -> Option<&Ty> {
         self.vars.iter().rev().find(|(n, _)| *n == x).map(|(_, t)| t)
     }
@@ -136,6 +154,19 @@ pub fn typecheck_open(term: &Term, ty_vars: &[Symbol]) -> Result<Ty, TypeError> 
         ty_vars: ty_vars.to_vec(),
     };
     check(term, &mut ctx)
+}
+
+/// Typechecks `term` in `ctx`, leaving `ctx` as it found it.
+///
+/// # Errors
+///
+/// As [`typecheck`].
+pub fn typecheck_in(term: &Term, ctx: &mut Ctx) -> Result<Ty, TypeError> {
+    let (vars, ty_vars) = (ctx.vars.len(), ctx.ty_vars.len());
+    let ty = check(term, ctx);
+    ctx.vars.truncate(vars);
+    ctx.ty_vars.truncate(ty_vars);
+    ty
 }
 
 fn well_formed(ty: &Ty, ctx: &Ctx) -> Result<(), TypeError> {

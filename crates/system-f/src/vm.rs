@@ -11,7 +11,7 @@
 //!
 //! The VM is differential-tested against the evaluator on every corpus
 //! program and on randomly generated terms, and benchmarked against it in
-//! `crates/bench/benches/dictionary_overhead.rs`.
+//! the `dictionary_overhead` group of `bench::runner` (`fg bench-json`).
 
 use std::cell::RefCell;
 use std::fmt;
