@@ -171,11 +171,14 @@ stage_robustness() {
     need_fg
     # Every adversarial program must die as a structured diagnostic
     # (exit 1) under the default caps — not a crash (3), not a success
-    # (0), not a hang. `run` (not `check`) so runtime bombs count.
+    # (0), not a hang — in every execution lane, so runtime bombs count
+    # on the tree evaluator, the VM and the direct interpreter alike.
     for f in examples/adversarial/*.fg; do
-        code=0
-        timeout 60 "$FG" run "$f" > /dev/null 2>&1 || code=$?
-        [ "$code" -eq 1 ] || { echo "FAIL: $f exited $code (want 1)"; exit 1; }
+        for lane in run vm direct; do
+            code=0
+            timeout 60 "$FG" "$lane" "$f" > /dev/null 2>&1 || code=$?
+            [ "$code" -eq 1 ] || { echo "FAIL: $lane $f exited $code (want 1)"; exit 1; }
+        done
     done
 
     # Fixed-seed no-panic fuzz smoke: 1000 generated programs through

@@ -14,6 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use fg::corpus;
+use telemetry::limits::Budget;
 use telemetry::{BenchEntry, BenchReport};
 
 /// Harness name stamped into the report.
@@ -235,14 +236,15 @@ fn throughput(suite: &mut Suite) {
 fn dictionary_overhead(suite: &mut Suite) {
     const GROUP: &str = "dictionary_overhead";
     for n in [16usize, 64, 256, 1024] {
-        let generic = fg::compile(&crate::generic_accumulate_program(n)).expect("fig 5 compiles");
+        let expr = fg::parser::parse_expr(&crate::generic_accumulate_program(n)).expect("parses");
+        let generic = fg::check_program(&expr).expect("fig 5 compiles");
         system_f::typecheck(&generic.term).expect("translation typechecks");
         suite.bench(GROUP, "translated_generic", n, || {
             system_f::eval(black_box(&generic.term)).unwrap()
         });
         let vm_prog = system_f::vm::compile(&generic.term).expect("translation compiles");
         suite.bench(GROUP, "translated_generic_vm", n, || {
-            system_f::vm::run(black_box(&vm_prog)).unwrap()
+            system_f::vm::run_budgeted(black_box(&vm_prog), &Budget::unlimited()).unwrap()
         });
         let mono = crate::monomorphic_sum(n);
         system_f::typecheck(&mono).expect("monomorphic sum typechecks");

@@ -191,10 +191,11 @@ pub struct Congruence {
     /// When `true`, every class union is appended to `union_log`.
     log_unions: bool,
     union_log: Vec<UnionStep>,
-    /// Shared resource budget, if attached. Charges are *sticky*: the
-    /// congruence APIs stay infallible, and the budget latches the first
-    /// exhaustion for a fallible caller to poll (see `telemetry::limits`).
-    budget: Option<Arc<Budget>>,
+    /// Shared resource budget (a private unlimited one until
+    /// [`Congruence::set_budget`]). Charges are *sticky*: the congruence
+    /// APIs stay infallible, and the budget latches the first exhaustion
+    /// for a fallible caller to poll (see `telemetry::limits`).
+    budget: Arc<Budget>,
 }
 
 /// Running operation counts for one [`Congruence`] instance.
@@ -260,7 +261,7 @@ impl Congruence {
     /// Clones share the same budget (scoped checker clones keep charging
     /// the pipeline-wide allowance).
     pub fn set_budget(&mut self, budget: Arc<Budget>) {
-        self.budget = Some(budget);
+        self.budget = budget;
     }
 
     /// Creates (or retrieves) the constant term `op`.
@@ -292,11 +293,9 @@ impl Congruence {
         if let Some(&id) = self.hashcons.get(&node) {
             return id;
         }
-        if let Some(b) = &self.budget {
-            // Sticky charge: term creation stays infallible, the checker
-            // polls the budget between expression nodes.
-            let _ = b.charge_cc_term();
-        }
+        // Sticky charge: term creation stays infallible, the checker
+        // polls the budget between expression nodes.
+        let _ = self.budget.charge_cc_term();
         let id = TermId::from_index(self.nodes.len());
         self.nodes.push(node.clone());
         self.hashcons.insert(node, id);
@@ -362,9 +361,7 @@ impl Congruence {
                 continue;
             }
             self.stats.unions += 1;
-            if let Some(b) = &self.budget {
-                let _ = b.charge_fuel(1);
-            }
+            let _ = self.budget.charge_fuel(1);
             // Union by use-list size: move the smaller list.
             let (small, big) = if self.use_list[rx.index()].len() <= self.use_list[ry.index()].len()
             {

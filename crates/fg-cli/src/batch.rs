@@ -46,7 +46,7 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
     let pool = match fg::pool::WorkerPool::new(flags.jobs_resolved()) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("fg: cannot spawn worker pool: {e}");
+            crate::print_err(&format!("fg: cannot spawn worker pool: {e}\n"));
             return EXIT_CRASH;
         }
     };
@@ -117,12 +117,12 @@ pub fn run_batch(cmd: &str, paths: &[String], flags: &Flags) -> u8 {
         match result {
             Ok(output) => {
                 crate::print_out(&output.stdout);
-                eprint!("{}", output.stderr);
+                crate::print_err(&output.stderr);
                 merged.merge(&output.metrics);
                 worst = worst.max(output.code);
             }
             Err(msg) => {
-                eprintln!("fg: internal error: {path}: pipeline crashed: {msg}");
+                crate::print_err(&format!("fg: internal error: {path}: pipeline crashed: {msg}\n"));
                 worst = worst.max(EXIT_CRASH);
             }
         }

@@ -54,9 +54,9 @@
 //! diagnostic (exit 1), never an abort.
 //!
 //! `--inject-fault <point[@N][:panic]>` (or `FG_FAULT=`) arms the
-//! deterministic fault-injection points (`parse`, `check.expr`,
-//! `check.resolve_model`, `check.where_enter`, `interp.eval`, `sf.eval`,
-//! `vm.run`) for robustness testing; see the `telemetry` crate.
+//! deterministic fault-injection points listed in
+//! `telemetry::fault::POINTS` for robustness testing; an unknown point
+//! name is a usage error (exit 2).
 //!
 //! # Telemetry
 //!
@@ -151,7 +151,7 @@ fn usage_text() -> &'static str {
 }
 
 fn usage() -> u8 {
-    eprintln!("{}", usage_text());
+    print_err(&format!("{}\n", usage_text()));
     EXIT_USAGE
 }
 
@@ -231,7 +231,7 @@ fn parse_flags(args: &mut Vec<String>) -> Result<Flags, u8> {
         let arg = args[i].clone();
         let take_value = |args: &mut Vec<String>| -> Result<String, u8> {
             if i + 1 >= args.len() {
-                eprintln!("fg: {arg} needs an argument");
+                print_err(&format!("fg: {arg} needs an argument\n"));
                 return Err(usage());
             }
             args.remove(i);
@@ -258,7 +258,7 @@ fn parse_flags(args: &mut Vec<String>) -> Result<Flags, u8> {
                     raw.parse::<usize>().ok().filter(|&n| n > 0)
                 };
                 let Some(jobs) = jobs else {
-                    eprintln!("fg: --jobs: `{raw}` is not a positive number or `auto`");
+                    print_err(&format!("fg: --jobs: `{raw}` is not a positive number or `auto`\n"));
                     return Err(usage());
                 };
                 flags.jobs = Some(jobs);
@@ -270,7 +270,7 @@ fn parse_flags(args: &mut Vec<String>) -> Result<Flags, u8> {
             "--fuel" | "--max-depth" | "--max-terms" | "--max-dict-nodes" | "--timeout-ms" => {
                 let raw = take_value(args)?;
                 let Ok(v) = parse_limit(&raw) else {
-                    eprintln!("fg: {arg}: `{raw}` is not a number, `0`, or `none`");
+                    print_err(&format!("fg: {arg}: `{raw}` is not a number, `0`, or `none`\n"));
                     return Err(usage());
                 };
                 match arg.as_str() {
@@ -311,7 +311,7 @@ fn real_main() -> u8 {
         match telemetry::fault::FaultPlan::parse(&spec) {
             Ok(plan) => telemetry::fault::install(plan),
             Err(e) => {
-                eprintln!("fg: bad fault spec `{spec}`: {e}");
+                print_err(&format!("fg: bad fault spec `{spec}`: {e}\n"));
                 return usage();
             }
         }
@@ -337,11 +337,11 @@ fn real_main() -> u8 {
             Err(code) => code,
             Ok(Ok(Ok(()))) => 0,
             Ok(Ok(Err(e))) => {
-                eprintln!("fg: io error: {e}");
+                print_err(&format!("fg: io error: {e}\n"));
                 EXIT_DIAGNOSTIC
             }
             Ok(Err(msg)) => {
-                eprintln!("fg: internal error: repl crashed: {msg}");
+                print_err(&format!("fg: internal error: repl crashed: {msg}\n"));
                 EXIT_CRASH
             }
         };
@@ -374,7 +374,7 @@ fn real_main() -> u8 {
 /// The pool for commands that run one request at a time.
 fn one_worker_pool() -> Result<WorkerPool, u8> {
     WorkerPool::new(1).map_err(|e| {
-        eprintln!("fg: cannot spawn worker pool: {e}");
+        print_err(&format!("fg: cannot spawn worker pool: {e}\n"));
         EXIT_CRASH
     })
 }
@@ -392,39 +392,39 @@ fn bench_json(args: &[String]) -> u8 {
             "--quick" => quick = true,
             "--out" => {
                 let Some(path) = args.get(i + 1) else {
-                    eprintln!("fg: --out needs an argument");
+                    print_err("fg: --out needs an argument\n");
                     return usage();
                 };
                 out = Some(path.clone());
                 i += 1;
             }
             other => {
-                eprintln!("fg: bench-json: unknown argument `{other}`");
+                print_err(&format!("fg: bench-json: unknown argument `{other}`\n"));
                 return usage();
             }
         }
         i += 1;
     }
-    eprintln!(
-        "fg: running benchmark suite ({} mode)...",
+    print_err(&format!(
+        "fg: running benchmark suite ({} mode)...\n",
         if quick { "quick" } else { "full" }
-    );
+    ));
     let suite = one_worker_pool().map(|pool| pool.run_one(move || bench::runner::run_suite(quick)));
     let report = match suite {
         Err(code) => return code,
         Ok(Ok(report)) => report,
         Ok(Err(msg)) => {
-            eprintln!("fg: internal error: bench-json crashed: {msg}");
+            print_err(&format!("fg: internal error: bench-json crashed: {msg}\n"));
             return EXIT_CRASH;
         }
     };
     for e in &report.entries {
-        eprintln!(
-            "  {:<50} {:>12} ns/iter (n={})",
+        print_err(&format!(
+            "  {:<50} {:>12} ns/iter (n={})\n",
             format!("{}/{}{}{}", e.group, e.id, if e.param.is_empty() { "" } else { "/" }, e.param),
             e.mean_ns(),
             e.iters,
-        );
+        ));
     }
     let json = report.to_json();
     match out.as_deref() {
@@ -434,11 +434,11 @@ fn bench_json(args: &[String]) -> u8 {
         }
         Some(path) => match std::fs::write(path, json) {
             Ok(()) => {
-                eprintln!("fg: wrote {path}");
+                print_err(&format!("fg: wrote {path}\n"));
                 0
             }
             Err(e) => {
-                eprintln!("fg: cannot write {path}: {e}");
+                print_err(&format!("fg: cannot write {path}: {e}\n"));
                 EXIT_DIAGNOSTIC
             }
         },
@@ -474,7 +474,7 @@ fn run_file(pool: &WorkerPool, cmd: &str, path: &str, flags: &Flags) -> u8 {
     match pool.run_one(task) {
         Ok(output) => {
             print_out(&output.stdout);
-            eprint!("{}", output.stderr);
+            print_err(&output.stderr);
             let emitted = emit_telemetry(
                 flags,
                 &output.metrics,
@@ -486,7 +486,7 @@ fn run_file(pool: &WorkerPool, cmd: &str, path: &str, flags: &Flags) -> u8 {
             output.code.max(emitted)
         }
         Err(msg) => {
-            eprintln!("fg: internal error: {path}: pipeline crashed: {msg}");
+            print_err(&format!("fg: internal error: {path}: pipeline crashed: {msg}\n"));
             EXIT_CRASH
         }
     }
@@ -858,7 +858,7 @@ fn emit_telemetry(
     dropped: u64,
 ) -> u8 {
     if flags.profile {
-        eprint!("{}", metrics.render_table());
+        print_err(&metrics.render_table());
     }
     let mut code = 0;
     let mut write = |path: &str, contents: String| {
@@ -885,7 +885,7 @@ fn write_report(path: &str, contents: &str) -> Result<(), ()> {
         return Ok(());
     }
     std::fs::write(path, contents).map_err(|e| {
-        eprintln!("fg: cannot write {path}: {e}");
+        print_err(&format!("fg: cannot write {path}: {e}\n"));
     })
 }
 
@@ -896,9 +896,17 @@ fn write_report(path: &str, contents: &str) -> Result<(), ()> {
 fn print_out(text: &str) {
     let mut stdout = std::io::stdout().lock();
     if let Err(e) = stdout.write_all(text.as_bytes()).and_then(|()| stdout.flush()) {
-        eprintln!("fg: cannot write output: {e}");
+        print_err(&format!("fg: cannot write output: {e}\n"));
         std::process::exit(i32::from(EXIT_DIAGNOSTIC));
     }
+}
+
+/// Writes `text` to stderr: the one way `fg` prints diagnostics. A
+/// closed or full stderr loses the text but never changes the exit code
+/// (`eprint!` would panic there, and a panic exits 101).
+fn print_err(text: &str) {
+    let mut stderr = std::io::stderr().lock();
+    let _ = stderr.write_all(text.as_bytes()).and_then(|()| stderr.flush());
 }
 
 fn read_source(path: &str) -> std::io::Result<String> {

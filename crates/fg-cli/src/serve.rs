@@ -66,13 +66,13 @@ struct Daemon {
 /// request. Returns 0 on a clean shutdown.
 pub fn serve_main(flags: &Flags, args: &[String]) -> u8 {
     let Some(addr) = parse_addr(args) else {
-        eprintln!("fg: serve: expected `--addr <host:port>`");
+        crate::print_err("fg: serve: expected `--addr <host:port>`\n");
         return crate::usage();
     };
     let listener = match TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => {
-            eprintln!("fg: serve: cannot bind {addr}: {e}");
+            crate::print_err(&format!("fg: serve: cannot bind {addr}: {e}\n"));
             return EXIT_DIAGNOSTIC;
         }
     };
@@ -83,7 +83,7 @@ pub fn serve_main(flags: &Flags, args: &[String]) -> u8 {
     let pool = match fg::pool::WorkerPool::new(flags.jobs_resolved()) {
         Ok(p) => p,
         Err(e) => {
-            eprintln!("fg: serve: cannot spawn worker pool: {e}");
+            crate::print_err(&format!("fg: serve: cannot spawn worker pool: {e}\n"));
             return EXIT_CRASH;
         }
     };
@@ -106,7 +106,7 @@ pub fn serve_main(flags: &Flags, args: &[String]) -> u8 {
                 ConnOutcome::Shutdown => return 0,
             },
             Err(e) => {
-                eprintln!("fg: serve: accept failed: {e}");
+                crate::print_err(&format!("fg: serve: accept failed: {e}\n"));
             }
         }
     }
@@ -125,7 +125,7 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon) -> ConnOutcome {
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(e) => {
-            eprintln!("fg: serve: cannot clone connection: {e}");
+            crate::print_err(&format!("fg: serve: cannot clone connection: {e}\n"));
             return ConnOutcome::KeepServing;
         }
     };
@@ -293,7 +293,7 @@ fn parse_addr(args: &[String]) -> Option<String> {
 /// use this as the protocol's reference client.
 pub fn rpc_main(flags: &Flags, args: &[String]) -> u8 {
     let Some(addr) = parse_addr(args) else {
-        eprintln!("fg: rpc: expected `--addr <host:port>`");
+        crate::print_err("fg: rpc: expected `--addr <host:port>`\n");
         return crate::usage();
     };
     let positional: Vec<&String> = {
@@ -310,7 +310,7 @@ pub fn rpc_main(flags: &Flags, args: &[String]) -> u8 {
         rest
     };
     let Some(method) = positional.first() else {
-        eprintln!("fg: rpc: expected a method (`check`, `stats`, `shutdown`, ...)");
+        crate::print_err("fg: rpc: expected a method (`check`, `stats`, `shutdown`, ...)\n");
         return crate::usage();
     };
     let mut request = format!(
@@ -319,13 +319,13 @@ pub fn rpc_main(flags: &Flags, args: &[String]) -> u8 {
     );
     if PIPELINE_METHODS.contains(&method.as_str()) {
         let Some(path) = positional.get(1) else {
-            eprintln!("fg: rpc: method `{method}` needs a file argument");
+            crate::print_err(&format!("fg: rpc: method `{method}` needs a file argument\n"));
             return crate::usage();
         };
         let source = match crate::read_source(path) {
             Ok(s) => s,
             Err(e) => {
-                eprintln!("fg: cannot read {path}: {e}");
+                crate::print_err(&format!("fg: cannot read {path}: {e}\n"));
                 return EXIT_DIAGNOSTIC;
             }
         };
@@ -341,26 +341,26 @@ pub fn rpc_main(flags: &Flags, args: &[String]) -> u8 {
     let stream = match TcpStream::connect(&addr) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("fg: rpc: cannot connect to {addr}: {e}");
+            crate::print_err(&format!("fg: rpc: cannot connect to {addr}: {e}\n"));
             return EXIT_DIAGNOSTIC;
         }
     };
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("fg: rpc: cannot clone connection: {e}");
+            crate::print_err(&format!("fg: rpc: cannot clone connection: {e}\n"));
             return EXIT_DIAGNOSTIC;
         }
     });
     let mut writer = BufWriter::new(stream);
     if writeln!(writer, "{request}").is_err() || writer.flush().is_err() {
-        eprintln!("fg: rpc: cannot send request");
+        crate::print_err("fg: rpc: cannot send request\n");
         return EXIT_DIAGNOSTIC;
     }
     let mut response = String::new();
     match reader.read_line(&mut response) {
         Ok(0) | Err(_) => {
-            eprintln!("fg: rpc: connection closed before a response arrived");
+            crate::print_err("fg: rpc: connection closed before a response arrived\n");
             return EXIT_DIAGNOSTIC;
         }
         Ok(_) => {}
@@ -369,7 +369,7 @@ pub fn rpc_main(flags: &Flags, args: &[String]) -> u8 {
     // into a JSON-aware consumer.
     crate::print_out(&format!("{}\n", response.trim_end()));
     let Ok(parsed) = Json::parse(response.trim_end()) else {
-        eprintln!("fg: rpc: response is not valid JSON");
+        crate::print_err("fg: rpc: response is not valid JSON\n");
         return EXIT_DIAGNOSTIC;
     };
     match parsed.get("exit").and_then(Json::as_i64) {

@@ -419,8 +419,16 @@ fn batch_mode_survives_a_crashing_file() {
     assert!(stdout.contains("int"), "second file must still run: {stdout}\n{stderr}");
 }
 
+/// The wall-clock bound on one adversarial run: ten times the slowest
+/// file's release-build time on a 2-vCPU host, with more room for an
+/// unoptimized build.
+const ADVERSARIAL_WALL: std::time::Duration =
+    std::time::Duration::from_secs(if cfg!(debug_assertions) { 6 } else { 2 });
+
 /// Every committed adversarial example dies as a structured diagnostic
-/// (exit 1) under the default caps — never a crash, never a hang.
+/// (exit 1) under the default caps in every execution lane (`run`, `vm`
+/// and `direct`) — never a crash, never a hang. Ω stops at the depth cap
+/// on the VM too, not after burning the whole fuel cap.
 #[test]
 fn adversarial_corpus_exits_with_diagnostics() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/adversarial");
@@ -432,11 +440,95 @@ fn adversarial_corpus_exits_with_diagnostics() {
         }
         seen += 1;
         let p = path.to_str().unwrap();
-        let (_, stderr, code) = run_fg_code(&["run", p], "");
-        assert_eq!(code, 1, "{p}: want a diagnostic exit, got {code}: {stderr}");
-        assert!(!stderr.trim().is_empty(), "{p}: diagnostic must be reported");
+        for lane in ["run", "vm", "direct"] {
+            let started = std::time::Instant::now();
+            let (_, stderr, code) = run_fg_code(&[lane, p], "");
+            let took = started.elapsed();
+            assert_eq!(code, 1, "{lane} {p}: want a diagnostic exit, got {code}: {stderr}");
+            assert!(!stderr.trim().is_empty(), "{lane} {p}: diagnostic must be reported");
+            assert!(took < ADVERSARIAL_WALL, "{lane} {p}: took {took:?}");
+            if p.ends_with("omega.fg") {
+                assert!(
+                    stderr.contains("depth budget of 4096 exhausted"),
+                    "{lane} {p}: {stderr}"
+                );
+            }
+        }
     }
     assert!(seen >= 4, "expected at least 4 adversarial examples, saw {seen}");
+}
+
+/// A 12-level refinement lattice whose 8191 dictionary-plan nodes are
+/// all distinct (each level refines the one below at `list t` and at
+/// `fn(t) -> int`): about a second of where-clause planning in a release
+/// build, none of it in expression nodes.
+fn distinct_lattice(levels: usize) -> String {
+    let mut src = String::from("concept C0<t> { op : fn(t) -> int; } in\n");
+    for i in 1..=levels {
+        let j = i - 1;
+        src.push_str(&format!(
+            "concept C{i}<t> {{ refines C{j}<list t>; refines C{j}<fn(t) -> int>; }} in\n"
+        ));
+    }
+    src.push_str(&format!("let f = biglam t where C{levels}<t>. lam x: t. 0 in 0\n"));
+    src
+}
+
+/// The deadline binds inside where-clause entry: planning, typing and
+/// registering a lattice's dictionaries poll it per plan node.
+#[test]
+fn deadline_binds_inside_where_clause_planning() {
+    let started = std::time::Instant::now();
+    let (_, stderr, code) =
+        run_fg_code(&["--timeout-ms", "200", "check", "-"], &distinct_lattice(12));
+    let took = started.elapsed();
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stderr.contains("deadline of 200 ms exceeded during check"), "{stderr}");
+    assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
+}
+
+/// A fault spec naming no instrumented point is a usage error (exit 2)
+/// from the flag and from `FG_FAULT` alike.
+#[test]
+fn unknown_fault_points_are_usage_errors() {
+    // A file argument, not stdin: `fg` exits before it would read input.
+    let good = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fig5_accumulate.fg");
+    for spec in ["bogus.point", "sf.parse", "check.expr,bogus@2"] {
+        let (_, stderr, code) = run_fg_code(&["--inject-fault", spec, "check", good], "");
+        assert_eq!(code, 2, "{spec}: {stderr}");
+        assert!(stderr.contains("unknown fault point"), "{spec}: {stderr}");
+        let out = Command::new(env!("CARGO_BIN_EXE_fg"))
+            .env("FG_FAULT", spec)
+            .args(["check", good])
+            .stdin(Stdio::null())
+            .output()
+            .expect("run fg");
+        assert_eq!(out.status.code(), Some(2), "FG_FAULT={spec}");
+    }
+}
+
+/// Every listed fault point fires under some command: in error mode it
+/// turns that command's success (exit 0) into a diagnostic (exit 1).
+#[test]
+fn every_fault_point_fires_in_some_command() {
+    let table = [
+        ("parse", "check"),
+        ("check.expr", "check"),
+        ("check.resolve_model", "check"),
+        ("check.where_enter", "check"),
+        ("interp.eval", "direct"),
+        ("sf.eval", "run"),
+        ("vm.run", "vm"),
+    ];
+    let listed: Vec<&str> = table.iter().map(|(point, _)| *point).collect();
+    assert_eq!(listed, telemetry::fault::POINTS, "one row per listed point");
+    for (point, cmd) in table {
+        let (_, stderr, code) = run_fg_code(&[cmd, "-"], FIG5);
+        assert_eq!(code, 0, "{cmd} without a fault: {stderr}");
+        let (stdout, stderr, code) = run_fg_code(&["--inject-fault", point, cmd, "-"], FIG5);
+        assert_eq!(code, 1, "{point} under {cmd}: {stdout}{stderr}");
+        assert!(!stderr.trim().is_empty(), "{point} under {cmd}: no diagnostic");
+    }
 }
 
 /// A scratch file under the test target directory, unique per process.
@@ -474,6 +566,27 @@ fn closed_stdout_is_a_diagnostic_not_a_panic() {
     }
     std::fs::remove_file(a).ok();
     std::fs::remove_file(b).ok();
+}
+
+/// A stderr that is full or closed loses the diagnostic but keeps the
+/// exit code: a missing file still exits 1, not a panic's 101.
+#[test]
+fn unwritable_stderr_keeps_the_exit_code() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let (reader, closed) = std::io::pipe().expect("pipe");
+    drop(reader);
+    for stderr in [Stdio::from(full), Stdio::from(closed)] {
+        let status = Command::new(env!("CARGO_BIN_EXE_fg"))
+            .args(["check", "missing.fg"])
+            .stdout(Stdio::null())
+            .stderr(stderr)
+            .status()
+            .expect("run fg");
+        assert_eq!(status.code(), Some(1));
+    }
 }
 
 /// The `check.*`, `congruence.*` and `limits.fuel_spent` counters of

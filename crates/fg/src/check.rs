@@ -108,7 +108,9 @@ impl CheckStats {
     }
 }
 
-/// Typechecks a closed F_G program and translates it to System F.
+/// Typechecks a closed F_G program and translates it to System F:
+/// [`check_program_budgeted`] under a fresh unlimited budget, with
+/// tracing off.
 ///
 /// # Errors
 ///
@@ -127,24 +129,23 @@ impl CheckStats {
 /// # Ok::<(), fg::CheckError>(())
 /// ```
 pub fn check_program(e: &Expr) -> Result<Compiled, CheckError> {
-    check_program_traced(e, Tracer::disabled())
+    check_program_budgeted(e, Tracer::disabled(), Arc::new(Budget::unlimited()))
 }
 
-/// [`check_program`] with a trace sink attached: the checker reports
-/// model-resolution decisions, dictionary construction, where-clause
-/// discharge, and congruence unions to `tracer` (see the `telemetry`
-/// crate's `trace` module for the event model). With a disabled tracer
-/// this is exactly `check_program`.
-pub fn check_program_traced(e: &Expr, tracer: Tracer) -> Result<Compiled, CheckError> {
-    check_program_budgeted(e, tracer, Arc::default())
-}
-
-/// [`check_program_traced`] with a shared resource budget: the checker
-/// charges fuel per expression node, bounds its recursion depth, and
-/// charges the budget for every congruence node and dictionary-plan node
-/// it creates. When any limit trips, checking stops with a structured
+/// Typechecks and translates a closed F_G program under a shared resource
+/// budget, reporting to a trace sink. The checker charges fuel per
+/// expression node, bounds its recursion depth, and charges the budget
+/// for every congruence node and dictionary-plan node it creates. When
+/// any limit trips, checking stops with a structured
 /// [`ErrorKind::ResourceExhausted`] error instead of looping or
-/// overflowing the stack.
+/// overflowing the stack. An enabled `tracer` receives model-resolution
+/// decisions, dictionary construction, where-clause discharge, and
+/// congruence unions (see the `telemetry` crate's `trace` module for the
+/// event model).
+///
+/// # Errors
+///
+/// Returns the first [`CheckError`] encountered.
 pub fn check_program_budgeted(
     e: &Expr,
     tracer: Tracer,
@@ -828,7 +829,8 @@ impl Checker {
     }
 
     /// Depth-first discovery of associated types and equalities, skipping
-    /// concept/argument pairs that were already processed.
+    /// concept/argument pairs that were already processed. Stops early
+    /// once the budget trips; [`Checker::enter_where`] polls it after.
     fn visit_concept(
         &mut self,
         cid: ConceptId,
@@ -837,6 +839,9 @@ impl Checker {
         plan: &mut WherePlan,
         seen: &mut Vec<(ConceptId, Vec<RTy>)>,
     ) {
+        if self.charge_plan_node().is_err() {
+            return;
+        }
         if seen.iter().any(|(c, a)| *c == cid && a == args) {
             return;
         }
@@ -903,6 +908,8 @@ impl Checker {
     /// types (with the concept's parameters and associated types
     /// instantiated).
     fn dict_ty(&mut self, plan: &DictPlan, span: Span) -> Result<system_f::Ty, CheckError> {
+        self.charge_plan_node()
+            .map_err(|x| exhausted_err(x, "check", span))?;
         let info = self.concepts.get(plan.concept).clone();
         let s = self.instantiation_subst(&info, &plan.args);
         let mut items = Vec::new();
@@ -914,6 +921,18 @@ impl Checker {
             items.push(self.tr_ty(&mty, span)?);
         }
         Ok(system_f::Ty::Tuple(items))
+    }
+
+    /// Charges one visit to a dictionary-plan node (one fuel unit) and
+    /// checks the wall-clock deadline. The dict-node meter counts each
+    /// node once, when its plan is built, but the walks over a where
+    /// clause's plans ([`Checker::visit_concept`], [`Checker::dict_ty`],
+    /// [`Checker::register_proxy`]) do real work per node, and a deadline
+    /// polled only every 1024 fuel units would let a wide refinement
+    /// lattice run far past it.
+    fn charge_plan_node(&self) -> Result<(), Exhausted> {
+        self.budget.charge_fuel(1)?;
+        self.budget.check_deadline()
     }
 
     /// Enters a where-clause scope: binds the type variables' associated
@@ -981,7 +1000,7 @@ impl Checker {
         for dict in &plan.dicts {
             let name = Symbol::fresh(dict.concept_name.as_str());
             if register_models {
-                self.register_proxy(dict, name, Vec::new(), span);
+                self.register_proxy(dict, name, Vec::new(), span)?;
             }
             dict_names.push(name);
             dict_tys.push(self.dict_ty(dict, span)?);
@@ -995,7 +1014,15 @@ impl Checker {
 
     /// Registers proxy model entries for a dictionary and (recursively) its
     /// refinement/requirement sub-dictionaries, mirroring the paper's `bm`.
-    fn register_proxy(&mut self, plan: &DictPlan, dict: Symbol, path: Vec<usize>, span: Span) {
+    fn register_proxy(
+        &mut self,
+        plan: &DictPlan,
+        dict: Symbol,
+        path: Vec<usize>,
+        span: Span,
+    ) -> Result<(), CheckError> {
+        self.charge_plan_node()
+            .map_err(|x| exhausted_err(x, "check", span))?;
         let info = self.concepts.get(plan.concept).clone();
         if self.tracer.is_enabled() {
             self.tracer.instant(
@@ -1042,8 +1069,9 @@ impl Checker {
         for (i, child) in plan.children.iter().enumerate() {
             let mut child_path = path.clone();
             child_path.push(i);
-            self.register_proxy(child, dict, child_path, span);
+            self.register_proxy(child, dict, child_path, span)?;
         }
+        Ok(())
     }
 
     /// Semantic type equality: syntactic equality, declared same-type
@@ -2260,6 +2288,8 @@ impl Checker {
         // The plan is computed on the *uninstantiated* constraints so the
         // slot order matches the abstraction's translation.
         let plan = self.where_plan(constraints);
+        // A plan cut short by the budget must not read as a violation.
+        self.budget.ok().map_err(|x| exhausted_err(x, "check", span))?;
         // Same-type constraints must hold at the instantiation.
         for (a, b) in &plan.same_constraints {
             let ia = subst(a, &sigma);

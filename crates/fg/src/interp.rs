@@ -448,12 +448,12 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-/// Runs a (well-typed) F_G program directly.
+/// Runs a (well-typed) F_G program directly: [`run_direct_budgeted`]
+/// under a fresh unlimited budget, with tracing off.
 ///
 /// # Errors
 ///
-/// Returns a [`RuntimeError`] for partial primitives, ill-founded `fix`, or
-/// any failure caused by feeding it an ill-typed program.
+/// As [`run_direct_budgeted`].
 ///
 /// ```
 /// use fg::interp::{run_direct, DValue};
@@ -463,41 +463,25 @@ impl std::error::Error for RuntimeError {}
 /// assert!(matches!(run_direct(&e), Ok(DValue::Int(42))));
 /// ```
 pub fn run_direct(e: &Expr) -> Result<DValue, RuntimeError> {
-    eval(e, &DEnv::default())
+    run_direct_budgeted(e, Tracer::disabled(), Arc::new(Budget::unlimited())).map(|(v, _)| v)
 }
 
-/// Runs a (well-typed) F_G program directly and reports the work done:
-/// like [`run_direct`], but also returns the run's [`EvalStats`].
+/// Runs a (well-typed) F_G program directly under a shared resource
+/// budget and reports the work done. Every evaluated expression charges
+/// fuel, recursion depth is bounded, and the wall-clock deadline is
+/// polled, so a divergent program (Ω) stops with
+/// [`RuntimeError::ResourceExhausted`] instead of running forever. When
+/// `tracer` is enabled, the run emits the same model-resolution event
+/// vocabulary as the typechecker (`model_resolve` spans with `candidate`
+/// / `candidate_rejected` / `model_selected` instants, `instantiate` and
+/// `dict_build` spans), letting tooling diff decision sequences across
+/// the two evaluation lanes.
 ///
 /// # Errors
 ///
-/// Same as [`run_direct`].
-pub fn run_direct_profiled(e: &Expr) -> Result<(DValue, EvalStats), RuntimeError> {
-    run_direct_traced(e, Tracer::disabled())
-}
-
-/// [`run_direct_profiled`] with a [`Tracer`]: when the tracer is enabled,
-/// the run emits the same model-resolution event vocabulary as the
-/// typechecker (`model_resolve` spans with `candidate` /
-/// `candidate_rejected` / `model_selected` instants, `instantiate` and
-/// `dict_build` spans), letting tooling diff decision sequences across the
-/// two evaluation lanes.
-///
-/// # Errors
-///
-/// Same as [`run_direct`].
-pub fn run_direct_traced(e: &Expr, tracer: Tracer) -> Result<(DValue, EvalStats), RuntimeError> {
-    run_direct_budgeted(e, tracer, Arc::default())
-}
-
-/// [`run_direct_traced`] with a shared resource budget: every evaluated
-/// expression charges fuel, recursion depth is bounded, and the wall-clock
-/// deadline is polled, so a divergent program (Ω) stops with
-/// [`RuntimeError::ResourceExhausted`] instead of running forever.
-///
-/// # Errors
-///
-/// As [`run_direct`], plus [`RuntimeError::ResourceExhausted`].
+/// Returns a [`RuntimeError`] for partial primitives, ill-founded `fix`,
+/// any failure caused by feeding it an ill-typed program, or
+/// [`RuntimeError::ResourceExhausted`].
 pub fn run_direct_budgeted(
     e: &Expr,
     tracer: Tracer,

@@ -26,7 +26,7 @@
 //! `Monoid`:
 //!
 //! ```
-//! use fg::{compile, parser::parse_expr};
+//! use fg::{check_program, parser::parse_expr};
 //!
 //! let program = r#"
 //!     concept Semigroup<t> { binary_op : fn(t, t) -> t; } in
@@ -42,7 +42,7 @@
 //!     model Monoid<int> { identity_elt = 0; } in
 //!     accumulate[int](cons[int](1, cons[int](2, nil[int])))
 //! "#;
-//! let compiled = compile(program)?;
+//! let compiled = check_program(&parse_expr(program)?)?;
 //! assert_eq!(system_f::eval(&compiled.term).unwrap(), system_f::Value::Int(3));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -93,26 +93,12 @@ pub use check::{check_program, CheckStats, Checker, Compiled};
 pub use error::{CheckError, ErrorKind};
 pub use typeeq::TypeEqStats;
 
-/// Parses, typechecks, and translates an F_G program to System F.
-///
-/// Convenience wrapper over [`parser::parse_expr`] and [`check_program`].
-///
-/// # Errors
-///
-/// Returns a boxed parse or type error (both implement
-/// [`std::error::Error`]).
-pub fn compile(src: &str) -> Result<Compiled, Box<dyn std::error::Error>> {
-    let expr = parser::parse_expr(src)?;
-    Ok(check_program(&expr)?)
-}
-
 /// Parses, compiles, and runs an F_G program on the System F evaluator,
-/// returning the final value.
+/// returning the final value: [`limits::run_budgeted`] without caps.
 ///
 /// # Errors
 ///
-/// Returns parse, type, or evaluation errors, boxed.
+/// Returns the phase-tagged [`limits::PipelineError`], boxed.
 pub fn run(src: &str) -> Result<system_f::Value, Box<dyn std::error::Error>> {
-    let compiled = compile(src)?;
-    Ok(system_f::eval(&compiled.term)?)
+    Ok(limits::run_budgeted(src, limits::Limits::UNLIMITED)?)
 }

@@ -1,11 +1,20 @@
 //! Resource governance for the whole F_G pipeline.
 //!
 //! Re-exports the shared budget machinery from the `telemetry` crate and
-//! adds governed one-shot entry points: [`compile_budgeted`] and
-//! [`run_budgeted`] are [`crate::compile`] / [`crate::run`] with a
-//! [`Budget`] threaded through every stage (parser recursion depth, checker
-//! fuel and dictionary nodes, congruence nodes, evaluator fuel/depth, and
-//! the wall-clock deadline).
+//! adds governed one-shot entry points: [`compile_with_budget`] and
+//! [`run_budgeted`] thread one [`Budget`] through every stage (parser
+//! recursion depth, checker fuel and dictionary nodes, congruence nodes,
+//! evaluator fuel/depth, and the wall-clock deadline).
+//!
+//! Every layer has exactly one function that does its work, and that
+//! function takes the budget: [`crate::parser::parse_expr_budgeted`],
+//! [`crate::check::check_program_budgeted`],
+//! [`system_f::eval_budgeted`], [`system_f::vm::run_budgeted`] and
+//! [`crate::interp::run_direct_budgeted`]. The short names
+//! ([`crate::parser::parse_expr`], [`crate::check_program`],
+//! [`system_f::eval`], [`crate::interp::run_direct`], [`crate::run`])
+//! call them with a fresh unlimited budget, so no caller reaches an
+//! ungoverned code path by picking the shorter name.
 //!
 //! The governance protocol is *sticky exhaustion*: the first failed charge
 //! latches an [`Exhausted`] record on the budget, every later charge
@@ -90,23 +99,14 @@ impl fmt::Display for PipelineError {
 
 impl std::error::Error for PipelineError {}
 
-/// Parses, typechecks, and translates under a resource budget.
+/// Parses, typechecks, and translates under a caller-owned budget
+/// (shared across stages or inspected afterwards for `fuel_spent` and
+/// friends).
 ///
 /// # Errors
 ///
 /// A phase-tagged [`PipelineError`]: any ordinary diagnostic the stages
 /// produce, or a structured exhaustion error once the budget trips.
-pub fn compile_budgeted(src: &str, limits: Limits) -> Result<Compiled, PipelineError> {
-    let budget = Arc::new(Budget::new(limits));
-    compile_with_budget(src, &budget)
-}
-
-/// [`compile_budgeted`] against a caller-owned budget (shared across
-/// stages or inspected afterwards for `fuel_spent` and friends).
-///
-/// # Errors
-///
-/// As [`compile_budgeted`].
 pub fn compile_with_budget(src: &str, budget: &Arc<Budget>) -> Result<Compiled, PipelineError> {
     let expr = parse_expr_budgeted(src, budget.clone()).map_err(PipelineError::Parse)?;
     check_program_budgeted(&expr, Tracer::disabled(), budget.clone())
@@ -114,11 +114,11 @@ pub fn compile_with_budget(src: &str, budget: &Arc<Budget>) -> Result<Compiled, 
 }
 
 /// Parses, compiles, and evaluates (on the System F evaluator) under a
-/// resource budget: [`crate::run`] with every stage governed.
+/// fresh budget enforcing `limits`.
 ///
 /// # Errors
 ///
-/// As [`compile_budgeted`], plus evaluation failures.
+/// As [`compile_with_budget`], plus evaluation failures.
 pub fn run_budgeted(src: &str, limits: Limits) -> Result<system_f::Value, PipelineError> {
     let budget = Arc::new(Budget::new(limits));
     let compiled = compile_with_budget(src, &budget)?;
@@ -163,14 +163,11 @@ mod tests {
         src.push_str(&"(".repeat(200));
         src.push('1');
         src.push_str(&")".repeat(200));
-        let err = compile_budgeted(
-            &src,
-            Limits {
-                max_depth: Some(64),
-                ..Limits::UNLIMITED
-            },
-        )
-        .unwrap_err();
+        let budget = Arc::new(Budget::new(Limits {
+            max_depth: Some(64),
+            ..Limits::UNLIMITED
+        }));
+        let err = compile_with_budget(&src, &budget).unwrap_err();
         assert_eq!(err.phase(), "parse");
         assert_eq!(err.exhausted().unwrap().resource, Resource::Depth);
     }

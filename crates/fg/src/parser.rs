@@ -42,7 +42,7 @@ use system_f::lexer::{lex, lex_at, Span, Token, TokenKind};
 use system_f::{ParseError, Prim, Symbol};
 use telemetry::limits::{Budget, Resource};
 
-/// Hard ceiling on parser recursion even without a budget: deep enough
+/// Hard ceiling on parser recursion whatever the budget: deep enough
 /// for any real program, shallow enough that pathological nesting
 /// cannot overflow an 8 MB thread stack.
 const PARSE_DEPTH_FALLBACK: usize = 10_000;
@@ -58,12 +58,12 @@ const KEYWORDS: &[&str] = &[
     "bool", "true", "false",
 ];
 
-/// Parses a complete F_G program (a single expression).
+/// Parses a complete F_G program (a single expression):
+/// [`parse_expr_budgeted`] under a fresh unlimited budget.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] (shared with the System F parser) on malformed
-/// input, including trailing tokens.
+/// As [`parse_expr_budgeted`].
 ///
 /// ```
 /// use fg::parser::parse_expr;
@@ -72,21 +72,18 @@ const KEYWORDS: &[&str] = &[
 /// # Ok::<(), system_f::ParseError>(())
 /// ```
 pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
-    let tokens = lex(src)?;
-    let mut p = FgParser::new(tokens);
-    let e = p.expr()?;
-    p.expect_eof()?;
-    Ok(e)
+    parse_expr_budgeted(src, Arc::new(Budget::unlimited()))
 }
 
-/// [`parse_expr`] with a shared resource budget: nesting beyond the
-/// budget's `max_depth` (or the parser's stack-safety ceiling,
+/// Parses a complete F_G program under a shared resource budget: nesting
+/// beyond the budget's `max_depth` (or the parser's stack-safety ceiling,
 /// whichever is lower) fails with [`ParseError::TooDeep`] and latches
 /// the budget, instead of risking a stack overflow.
 ///
 /// # Errors
 ///
-/// As [`parse_expr`], plus [`ParseError::TooDeep`].
+/// Returns a [`ParseError`] (shared with the System F parser) on malformed
+/// input, including trailing tokens, and [`ParseError::TooDeep`].
 pub fn parse_expr_budgeted(src: &str, budget: Arc<Budget>) -> Result<Expr, ParseError> {
     parse_expr_at(src, 0, budget)
 }
@@ -132,8 +129,7 @@ pub fn parse_prefix(src: &str, budget: Arc<Budget>) -> Result<Expr, ParseError> 
 /// Parses all of `tokens` as one expression under `budget`; `spine`
 /// parses it as a prefix's declaration chain.
 fn parse_tokens(tokens: Vec<Token>, budget: Arc<Budget>, spine: bool) -> Result<Expr, ParseError> {
-    let mut p = FgParser::new(tokens);
-    p.set_budget(budget);
+    let mut p = FgParser::new(tokens, budget);
     p.spine = spine;
     let e = p.expr()?;
     p.expect_eof()?;
@@ -147,7 +143,7 @@ fn parse_tokens(tokens: Vec<Token>, budget: Arc<Budget>, spine: bool) -> Result<
 /// Returns a [`ParseError`] on malformed input, including trailing tokens.
 pub fn parse_fg_ty(src: &str) -> Result<FgTy, ParseError> {
     let tokens = lex(src)?;
-    let mut p = FgParser::new(tokens);
+    let mut p = FgParser::new(tokens, Arc::default());
     let t = p.ty()?;
     p.expect_eof()?;
     Ok(t)
@@ -158,33 +154,29 @@ struct FgParser {
     pos: usize,
     depth: usize,
     depth_limit: usize,
-    budget: Option<Arc<Budget>>,
+    budget: Arc<Budget>,
     /// Set while the next expression is on the declaration chain of a
     /// prefix ([`parse_prefix`]), where end of input is the hole.
     spine: bool,
 }
 
 impl FgParser {
-    fn new(tokens: Vec<Token>) -> FgParser {
-        FgParser {
-            tokens,
-            pos: 0,
-            depth: 0,
-            depth_limit: PARSE_DEPTH_FALLBACK,
-            budget: None,
-            spine: false,
-        }
-    }
-
-    /// Attaches a budget: its `max_depth` (clamped by the stack-safety
-    /// ceiling) bounds recursion, and exhaustion is latched on it.
-    fn set_budget(&mut self, budget: Arc<Budget>) {
-        self.depth_limit = budget.limits().max_depth.map_or(PARSE_DEPTH_FALLBACK, |d| {
+    /// A parser whose recursion is bounded by `budget`'s `max_depth`
+    /// (clamped by the stack-safety ceiling), latching exhaustion on it.
+    fn new(tokens: Vec<Token>, budget: Arc<Budget>) -> FgParser {
+        let depth_limit = budget.limits().max_depth.map_or(PARSE_DEPTH_FALLBACK, |d| {
             usize::try_from(d)
                 .unwrap_or(PARSE_DEPTH_FALLBACK)
                 .min(PARSE_DEPTH_FALLBACK)
         });
-        self.budget = Some(budget);
+        FgParser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            depth_limit,
+            budget,
+            spine: false,
+        }
     }
 
     /// Enters one level of grammar recursion; pair with `ascend`.
@@ -192,9 +184,7 @@ impl FgParser {
         self.depth += 1;
         if self.depth > self.depth_limit {
             let limit = self.depth_limit as u64;
-            if let Some(b) = &self.budget {
-                b.trip(Resource::Depth, limit);
-            }
+            self.budget.trip(Resource::Depth, limit);
             return Err(ParseError::TooDeep {
                 span: self.peek().span,
                 limit,

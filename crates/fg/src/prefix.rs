@@ -268,7 +268,7 @@ impl Snapshot {
                 self.sf_env.get_or_init(|| env)
             }
         };
-        system_f::eval_in_b(term, env, budget)
+        system_f::eval_in(term, env, budget)
     }
 }
 

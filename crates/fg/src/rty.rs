@@ -431,7 +431,9 @@ struct Store {
     subst_cached: Vec<(TyId, SubstId)>,
     csubst_cached: Vec<(CtId, SubstId)>,
     stats: InternStats,
-    budget: Option<Arc<Budget>>,
+    /// Charged one cc-term per fresh node; a private unlimited budget
+    /// until [`TyInterner::set_budget`].
+    budget: Arc<Budget>,
 }
 
 impl Store {
@@ -445,9 +447,7 @@ impl Store {
         // way to allocate unbounded term graphs past the PR-3 caps, so
         // every fresh node charges the same meter as a congruence term.
         // The charge is sticky inside the budget; callers poll `ok()`.
-        if let Some(b) = &self.budget {
-            let _ = b.charge_cc_term();
-        }
+        let _ = self.budget.charge_cc_term();
         let meta = self.meta_for(&node);
         let id = TyId(u32::try_from(self.nodes.len()).expect("interner arena overflow"));
         self.nodes.push(node.clone());
@@ -463,9 +463,7 @@ impl Store {
             return id;
         }
         self.stats.misses += 1;
-        if let Some(b) = &self.budget {
-            let _ = b.charge_cc_term();
-        }
+        let _ = self.budget.charge_cc_term();
         let id = CtId(u32::try_from(self.cnodes.len()).expect("interner arena overflow"));
         self.cnodes.push(node.clone());
         self.chashcons.insert(node, id);
@@ -1027,13 +1025,13 @@ impl TyInterner {
         }
         meta.truncate(mark.nodes);
         *stats = mark.stats;
-        *budget = None;
+        *budget = Arc::default();
     }
 
     /// Charges all *future* arena growth against `budget`'s max-terms
     /// meter (one unit per fresh node, exactly like a congruence term).
     pub fn set_budget(&self, budget: Arc<Budget>) {
-        self.0.borrow_mut().budget = Some(budget);
+        self.0.borrow_mut().budget = budget;
     }
 }
 

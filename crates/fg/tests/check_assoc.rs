@@ -5,8 +5,12 @@
 //! Every positive test typechecks the System F output, point-checking
 //! Theorem 2 (the translation with associated types preserves typing).
 
-use fg::{compile, ErrorKind};
+use fg::{check_program, parser::parse_expr, ErrorKind};
 use system_f::{eval, typecheck, Value};
+
+fn compile(src: &str) -> Result<fg::Compiled, Box<dyn std::error::Error>> {
+    Ok(check_program(&parse_expr(src)?)?)
+}
 
 fn run_ok(src: &str) -> Value {
     let compiled = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));

@@ -5,8 +5,12 @@
 //! Every positive test also typechecks the System F output — each run is a
 //! point-check of Theorem 1 (translation preserves well-typing).
 
-use fg::{compile, ErrorKind};
+use fg::{check_program, parser::parse_expr, ErrorKind};
 use system_f::{eval, typecheck, Value};
+
+fn compile(src: &str) -> Result<fg::Compiled, Box<dyn std::error::Error>> {
+    Ok(check_program(&parse_expr(src)?)?)
+}
 
 /// Compiles, typechecks the translation, and runs it.
 fn run_ok(src: &str) -> Value {

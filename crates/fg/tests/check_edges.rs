@@ -2,8 +2,13 @@
 //! detection, scoping corners, equality-driven elimination forms, and
 //! diagnostic rendering.
 
-use fg::{check_program, compile, parser::parse_expr, ErrorKind};
+use fg::limits::Budget;
+use fg::{check_program, parser::parse_expr, ErrorKind};
 use system_f::{eval, typecheck, Value};
+
+fn compile(src: &str) -> Result<fg::Compiled, Box<dyn std::error::Error>> {
+    Ok(check_program(&parse_expr(src)?)?)
+}
 
 fn run_ok(src: &str) -> Value {
     let compiled = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));
@@ -322,7 +327,8 @@ fn vm_runs_the_stress_programs() {
               else S<t>.op(x, go(x, isub(n, 1)))
         in pow[int](2, 16)";
     let compiled = compile(src).unwrap();
-    let v = system_f::vm::compile_and_run(&compiled.term).unwrap();
+    let program = system_f::vm::compile(&compiled.term).unwrap();
+    let v = system_f::vm::run_budgeted(&program, &Budget::unlimited()).unwrap();
     assert!(v.agrees_with(&system_f::Value::Int(65536)));
 }
 

@@ -8,8 +8,12 @@
 //! program — inserting the explicit `[τ̄]` — so the direct interpreter
 //! executes exactly what was typechecked.
 
-use fg::{check_program, compile, parser::parse_expr, ErrorKind};
+use fg::{check_program, parser::parse_expr, ErrorKind};
 use system_f::{eval, typecheck, Value};
+
+fn compile(src: &str) -> Result<fg::Compiled, Box<dyn std::error::Error>> {
+    Ok(check_program(&parse_expr(src)?)?)
+}
 
 fn run_ok(src: &str) -> Value {
     let compiled = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));

@@ -9,8 +9,12 @@
 //! from the constraint dictionaries to the dictionary tuple. Each use
 //! instantiates the constructor, recursively resolving the constraints.
 
-use fg::{compile, ErrorKind};
+use fg::{check_program, parser::parse_expr, ErrorKind};
 use system_f::{eval, typecheck, Value};
+
+fn compile(src: &str) -> Result<fg::Compiled, Box<dyn std::error::Error>> {
+    Ok(check_program(&parse_expr(src)?)?)
+}
 
 fn run_ok(src: &str) -> Value {
     let compiled = compile(src).unwrap_or_else(|e| panic!("compile failed: {e}\n{src}"));

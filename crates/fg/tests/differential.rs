@@ -5,11 +5,15 @@
 //! semantics) and the intended direct semantics coincide — the semantic
 //! counterpart of Theorems 1 and 2.
 
+use std::sync::Arc;
+
 use fg::corpus;
 use fg::interp::run_direct;
 use fg::parser::parse_expr;
 use fg::stdlib::with_prelude;
 use system_f::{eval, typecheck};
+use telemetry::limits::Budget;
+use telemetry::trace::Tracer;
 
 fn assert_agree(src: &str, label: &str) {
     let expr = parse_expr(src).unwrap_or_else(|e| panic!("{label}: parse error: {e}"));
@@ -25,7 +29,8 @@ fn assert_agree(src: &str, label: &str) {
         direct.agrees_with(&translated),
         "{label}: direct {direct} != translated {translated}"
     );
-    let vm = system_f::vm::compile_and_run(&compiled.term)
+    let vm = system_f::vm::compile(&compiled.term)
+        .and_then(|p| system_f::vm::run_budgeted(&p, &Budget::unlimited()))
         .unwrap_or_else(|e| panic!("{label}: vm failed: {e}"));
     assert!(
         vm.agrees_with(&translated),
@@ -221,8 +226,12 @@ fn dictionary_counts_agree_across_lanes() {
     for p in [&corpus::FIG5_ACCUMULATE, &corpus::FIG6_OVERLAPPING] {
         let expr = parse_expr(p.source).unwrap();
         let compiled = fg::check_program(&expr).unwrap();
-        let (_, direct) = fg::interp::run_direct_profiled(&compiled.elaborated)
-            .unwrap_or_else(|e| panic!("{}: direct eval failed: {e}", p.id));
+        let (_, direct) = fg::interp::run_direct_budgeted(
+            &compiled.elaborated,
+            Tracer::disabled(),
+            Arc::new(Budget::unlimited()),
+        )
+        .unwrap_or_else(|e| panic!("{}: direct eval failed: {e}", p.id));
         let check = compiled.check_stats;
         assert_eq!(
             direct.dicts_built, check.dicts_built,

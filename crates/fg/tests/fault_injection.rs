@@ -120,7 +120,7 @@ fn interp_and_vm_points_fire_on_their_lanes() {
     ));
     // Both lanes run clean afterwards.
     assert!(fg::interp::run_direct(&compiled.elaborated).is_ok());
-    assert!(system_f::vm::run(&program).is_ok());
+    assert!(system_f::vm::run_budgeted(&program, &Budget::unlimited()).is_ok());
 }
 
 #[test]

@@ -9,10 +9,12 @@
 #![allow(clippy::result_large_err)]
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use fg::limits::{
     compile_with_budget, run_budgeted, Budget, Limits, PipelineError, Resource,
 };
+use telemetry::trace::Tracer;
 
 /// A program that exercises every governed stage: concepts with
 /// refinement (dict nodes), a where-clause (congruence work), and a
@@ -190,10 +192,36 @@ fn default_caps_pass_the_entire_paper_corpus() {
     }
 }
 
+/// One execution lane under a fresh budget with the CLI's default caps,
+/// checking and running on the same budget as the CLI does. The error is
+/// rendered, since values are not `Send`.
+fn run_lane(lane: &str, src: &str) -> Result<String, String> {
+    if lane == "run" {
+        return run_budgeted(src, Limits::DEFAULT_CAPS)
+            .map(|v| v.to_string())
+            .map_err(|e| e.to_string());
+    }
+    let budget = Arc::new(Budget::new(Limits::DEFAULT_CAPS));
+    let compiled = compile_with_budget(src, &budget).map_err(|e| e.to_string())?;
+    if lane == "vm" {
+        let program = system_f::vm::compile(&compiled.term).map_err(|e| e.to_string())?;
+        system_f::vm::run_budgeted(&program, &budget)
+            .map(|v| v.to_string())
+            .map_err(|e| e.to_string())
+    } else {
+        fg::interp::run_direct_budgeted(&compiled.elaborated, Tracer::disabled(), budget)
+            .map(|(v, _)| v.to_string())
+            .map_err(|e| e.to_string())
+    }
+}
+
 #[test]
 fn adversarial_corpus_dies_structured_under_default_caps() {
     // The committed adversarial examples must each produce a structured
-    // pipeline error (not a panic, not success) under the CLI defaults.
+    // pipeline error (not a panic, not success) under the CLI defaults,
+    // in every execution lane, within a wall bound with ample room (the
+    // slowest takes about 1 s unoptimized on a 2-vCPU host).
+    let wall = Duration::from_secs(if cfg!(debug_assertions) { 6 } else { 2 });
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/adversarial");
     let mut seen = 0;
     for entry in std::fs::read_dir(dir).expect("examples/adversarial exists") {
@@ -202,26 +230,26 @@ fn adversarial_corpus_dies_structured_under_default_caps() {
             continue;
         }
         seen += 1;
-        let src = std::fs::read_to_string(&path).unwrap();
-        // The default depth cap (4096) is deeper than a test thread's
-        // stack allows in debug builds; run on a big-stack worker like
-        // the CLI does, so the *budget* is what stops the program.
-        let display = path.display().to_string();
-        // Values are not `Send` (closures capture `Rc` environments), so
-        // the worker reports rendered strings.
-        let outcome: Result<String, String> = std::thread::Builder::new()
-            .stack_size(256 * 1024 * 1024)
-            .spawn(move || match run_budgeted(&src, Limits::DEFAULT_CAPS) {
-                Ok(v) => Ok(v.to_string()),
-                Err(e) => Err(e.to_string()),
-            })
-            .unwrap()
-            .join()
-            .unwrap_or_else(|_| panic!("{display} PANICKED"));
-        // Every adversarial failure is a phase-tagged diagnostic with a
-        // non-empty rendering.
-        let err = outcome.expect_err(&format!("{display} must be rejected"));
-        assert!(!err.is_empty());
+        for lane in ["run", "vm", "direct"] {
+            let src = std::fs::read_to_string(&path).unwrap();
+            let display = format!("{lane} {}", path.display());
+            // The default depth cap (4096) is deeper than a test thread's
+            // stack allows in debug builds; run on a big-stack worker like
+            // the CLI does, so the *budget* is what stops the program.
+            let started = Instant::now();
+            let outcome = std::thread::Builder::new()
+                .stack_size(256 * 1024 * 1024)
+                .spawn(move || run_lane(lane, &src))
+                .unwrap()
+                .join()
+                .unwrap_or_else(|_| panic!("{display} PANICKED"));
+            let took = started.elapsed();
+            // Every adversarial failure is a phase-tagged diagnostic with
+            // a non-empty rendering.
+            let err = outcome.expect_err(&format!("{display} must be rejected"));
+            assert!(!err.is_empty());
+            assert!(took < wall, "{display}: took {took:?}");
+        }
     }
     assert!(seen >= 4, "expected at least 4 adversarial examples, saw {seen}");
 }

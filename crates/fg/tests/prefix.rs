@@ -71,7 +71,7 @@ fn checking_a_body_matches_checking_the_whole_program() {
             let alone = snapshot
                 .check_body(&parsed, Tracer::disabled(), Arc::default())
                 .unwrap();
-            let whole = fg::compile(&with_prelude(body)).unwrap();
+            let whole = fg::check_program(&parse_expr(&with_prelude(body)).unwrap()).unwrap();
             assert_eq!(alone.ty, whole.ty, "{body}");
             let term = snapshot.splice_term(alone.term.clone());
             assert_eq!(

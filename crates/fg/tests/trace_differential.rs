@@ -11,8 +11,10 @@
 //! excluded — the checker resolves each member once while the interpreter
 //! resolves per evaluation — so they legitimately differ in multiplicity.
 
-use fg::check::check_program_traced;
-use fg::interp::run_direct_traced;
+use std::sync::Arc;
+
+use fg::check::check_program_budgeted;
+use fg::interp::run_direct_budgeted;
 use fg::parser::parse_expr;
 use telemetry::trace::{first_divergence, instant_sequence, Event, Tracer};
 
@@ -32,10 +34,10 @@ fn selection_sequence(events: &[Event]) -> Vec<Vec<String>> {
 fn lanes_agree(name: &str, src: &str) {
     let expr = parse_expr(src).unwrap_or_else(|e| panic!("{name}: parse error: {e}"));
     let check_tracer = Tracer::enabled();
-    let compiled = check_program_traced(&expr, check_tracer.clone())
+    let compiled = check_program_budgeted(&expr, check_tracer.clone(), Arc::default())
         .unwrap_or_else(|e| panic!("{name}: check error: {e}"));
     let direct_tracer = Tracer::enabled();
-    run_direct_traced(&compiled.elaborated, direct_tracer.clone())
+    run_direct_budgeted(&compiled.elaborated, direct_tracer.clone(), Arc::default())
         .unwrap_or_else(|e| panic!("{name}: runtime error: {e}"));
     let check_seq = selection_sequence(&check_tracer.events());
     let direct_seq = selection_sequence(&direct_tracer.events());
@@ -72,7 +74,7 @@ fn fig6_example_file_selects_the_two_scoped_models_in_order() {
     // *different* scope entry (the lexically innermost model of each arm).
     let expr = parse_expr(&src).expect("parse fig6");
     let tracer = Tracer::enabled();
-    check_program_traced(&expr, tracer.clone()).expect("check fig6");
+    check_program_budgeted(&expr, tracer.clone(), Arc::default()).expect("check fig6");
     let selections: Vec<(String, String)> = tracer
         .events()
         .iter()

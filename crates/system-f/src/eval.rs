@@ -293,7 +293,8 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluates a closed term.
+/// Evaluates a closed term: [`eval_budgeted`] under a fresh unlimited
+/// budget.
 ///
 /// # Errors
 ///
@@ -308,7 +309,7 @@ impl std::error::Error for EvalError {}
 /// # Ok::<(), system_f::EvalError>(())
 /// ```
 pub fn eval(term: &Term) -> Result<Value, EvalError> {
-    eval_in(term, &Env::new())
+    eval_budgeted(term, &Budget::unlimited())
 }
 
 /// Evaluates a closed term against a resource budget: each node charges
@@ -316,12 +317,7 @@ pub fn eval(term: &Term) -> Result<Value, EvalError> {
 /// with [`EvalError::ResourceExhausted`] instead of overflowing the
 /// stack or spinning past the deadline.
 pub fn eval_budgeted(term: &Term, budget: &Budget) -> Result<Value, EvalError> {
-    eval_in_b(term, &Env::new(), budget)
-}
-
-/// Evaluates a term in a caller-supplied environment.
-pub fn eval_in(term: &Term, env: &Env) -> Result<Value, EvalError> {
-    eval_in_b(term, env, Budget::unlimited_ref())
+    eval_in(term, &Env::new(), budget)
 }
 
 /// Checks the `sf.eval` fault-injection point (see `telemetry::fault`).
@@ -335,8 +331,9 @@ fn fault_point(budget: &Budget) -> Result<(), EvalError> {
     }
 }
 
-/// [`eval_in`] with an explicit budget: the recursive workhorse.
-pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalError> {
+/// Evaluates a term in a caller-supplied environment against a budget:
+/// the recursive workhorse.
+pub fn eval_in(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalError> {
     budget.charge_fuel(1).map_err(EvalError::ResourceExhausted)?;
     let _depth = budget.enter().map_err(EvalError::ResourceExhausted)?;
     fault_point(budget)?;
@@ -346,12 +343,12 @@ pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalE
         Term::BoolLit(b) => Ok(Value::Bool(*b)),
         Term::Prim(p) => Ok(Value::Prim(*p)),
         Term::App(f, args) => {
-            let fv = eval_in_b(f, env, budget)?;
+            let fv = eval_in(f, env, budget)?;
             let mut argv = Vec::with_capacity(args.len());
             for a in args {
-                argv.push(eval_in_b(a, env, budget)?);
+                argv.push(eval_in(a, env, budget)?);
             }
-            apply_b(fv, argv, budget)
+            apply(fv, argv, budget)
         }
         Term::Lam(params, body) => Ok(Value::Closure {
             params: params.iter().map(|(n, _)| *n).collect(),
@@ -364,7 +361,7 @@ pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalE
             env: env.clone(),
         }),
         Term::TyApp(f, args) => {
-            let fv = eval_in_b(f, env, budget)?;
+            let fv = eval_in(f, env, budget)?;
             match fv {
                 Value::TyClosure { vars, body, env } => {
                     if vars.len() != args.len() {
@@ -374,7 +371,7 @@ pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalE
                         });
                     }
                     // Types are computationally irrelevant: just run the body.
-                    eval_in_b(&body, &env, budget)
+                    eval_in(&body, &env, budget)
                 }
                 // `nil[τ]` is the empty list; other polymorphic primitives
                 // ignore their type arguments.
@@ -384,23 +381,23 @@ pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalE
             }
         }
         Term::Let(x, bound, body) => {
-            let v = eval_in_b(bound, env, budget)?;
-            eval_in_b(body, &env.bind(*x, v), budget)
+            let v = eval_in(bound, env, budget)?;
+            eval_in(body, &env.bind(*x, v), budget)
         }
         Term::Tuple(items) => {
             let mut vs = Vec::with_capacity(items.len());
             for e in items {
-                vs.push(eval_in_b(e, env, budget)?);
+                vs.push(eval_in(e, env, budget)?);
             }
             Ok(Value::Tuple(vs))
         }
-        Term::Nth(e, i) => match eval_in_b(e, env, budget)? {
+        Term::Nth(e, i) => match eval_in(e, env, budget)? {
             Value::Tuple(items) => items.get(*i).cloned().ok_or(EvalError::BadProjection),
             _ => Err(EvalError::BadProjection),
         },
-        Term::If(c, t, e) => match eval_in_b(c, env, budget)? {
-            Value::Bool(true) => eval_in_b(t, env, budget),
-            Value::Bool(false) => eval_in_b(e, env, budget),
+        Term::If(c, t, e) => match eval_in(c, env, budget)? {
+            Value::Bool(true) => eval_in(t, env, budget),
+            Value::Bool(false) => eval_in(e, env, budget),
             _ => Err(EvalError::CondNotBool),
         },
         Term::Fix(x, _ty, body) => {
@@ -419,7 +416,7 @@ pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalE
             }
             // General case (rare): tie the knot through a mutable cell.
             let env2 = env.bind_uninit(*x);
-            let v = eval_in_b(body, &env2, budget)?;
+            let v = eval_in(body, &env2, budget)?;
             if let Some(node) = &env2.0 {
                 *node.value.borrow_mut() = Some(v.clone());
             }
@@ -431,7 +428,7 @@ pub fn eval_in_b(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalE
 /// Evaluates the bound terms of `term`'s chain of `let`s in `env`, each
 /// binding in scope of the ones after it, and returns the environment
 /// the chain's innermost body runs in, with that body (not evaluated).
-/// Every `let` node is charged and probed exactly as [`eval_in_b`]
+/// Every `let` node is charged and probed exactly as [`eval_in`]
 /// charges it inside the whole term, and its depth is held down the
 /// chain.
 ///
@@ -451,21 +448,16 @@ pub fn eval_lets<'t>(
             .map_err(EvalError::ResourceExhausted)?;
         depth.push(budget.enter().map_err(EvalError::ResourceExhausted)?);
         fault_point(budget)?;
-        let v = eval_in_b(bound, &env, budget)?;
+        let v = eval_in(bound, &env, budget)?;
         env = env.bind(*x, v);
         term = body;
     }
     Ok((env, term))
 }
 
-/// Applies a function value to evaluated arguments.
-pub fn apply(f: Value, args: Vec<Value>) -> Result<Value, EvalError> {
-    apply_b(f, args, Budget::unlimited_ref())
-}
-
-/// [`apply`] against an explicit budget (the application itself is free;
-/// the applied body's nodes charge as they evaluate).
-pub fn apply_b(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, EvalError> {
+/// Applies a function value to evaluated arguments (the application
+/// itself is free; the applied body's nodes charge as they evaluate).
+pub fn apply(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, EvalError> {
     match f {
         Value::Closure { params, body, env } => {
             if params.len() != args.len() {
@@ -478,7 +470,7 @@ pub fn apply_b(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, Eva
             for (p, a) in params.iter().zip(args) {
                 env = env.bind(*p, a);
             }
-            eval_in_b(&body, &env, budget)
+            eval_in(&body, &env, budget)
         }
         Value::RecClosure {
             name,
@@ -505,7 +497,7 @@ pub fn apply_b(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, Eva
             for (p, a) in params.iter().zip(args) {
                 env2 = env2.bind(*p, a);
             }
-            eval_in_b(&body, &env2, budget)
+            eval_in(&body, &env2, budget)
         }
         Value::Prim(p) => apply_prim(p, args),
         other => Err(EvalError::NotAFunction(other.to_string())),

@@ -56,9 +56,8 @@ pub mod types;
 
 pub use ast::{Prim, Term, Ty};
 pub use eval::{
-    apply, eval, eval_budgeted, eval_in, eval_in_b, eval_lets, Env, EvalError, VList, VListIter,
-    Value,
+    apply, eval, eval_budgeted, eval_in, eval_lets, Env, EvalError, VList, VListIter, Value,
 };
-pub use parser::{parse_term, parse_term_budgeted, parse_ty, ParseError};
+pub use parser::{parse_term, parse_ty, ParseError};
 pub use symbol::Symbol;
 pub use typeck::{typecheck, typecheck_in, typecheck_open, Ctx, TypeError};

@@ -24,13 +24,11 @@
 use crate::lexer::{lex, LexError, Span, Token, TokenKind};
 use crate::{Prim, Symbol, Term, Ty};
 use std::fmt;
-use std::sync::Arc;
-use telemetry::limits::{Budget, Resource};
 
-/// Hard ceiling on parser recursion even without a budget: deep enough
-/// for any real program, shallow enough that a pathological
-/// `((((…))))` cannot overflow an 8 MB thread stack.
-pub(crate) const PARSE_DEPTH_FALLBACK: usize = 10_000;
+/// Hard ceiling on parser recursion: deep enough for any real program,
+/// shallow enough that a pathological `((((…))))` cannot overflow an
+/// 8 MB thread stack.
+const PARSE_DEPTH_LIMIT: usize = 10_000;
 
 /// A parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,8 +46,8 @@ pub enum ParseError {
     },
     /// Input continued after a complete term.
     TrailingInput(Span),
-    /// Nesting exceeded the recursion-depth limit (either the attached
-    /// budget's `max_depth` or the parser's own stack-safety ceiling).
+    /// Nesting exceeded the recursion-depth limit (the F_G parser's
+    /// budget `max_depth`, or either parser's stack-safety ceiling).
     TooDeep {
         /// Where the limit was hit.
         span: Span,
@@ -112,35 +110,6 @@ pub fn parse_term(src: &str) -> Result<Term, ParseError> {
     Ok(t)
 }
 
-/// [`parse_term`] with a shared resource budget: nesting beyond the
-/// budget's `max_depth` (or the parser's stack-safety ceiling,
-/// whichever is lower) fails with [`ParseError::TooDeep`] and latches
-/// the budget, instead of risking a stack overflow.
-///
-/// # Errors
-///
-/// As [`parse_term`], plus [`ParseError::TooDeep`].
-pub fn parse_term_budgeted(src: &str, budget: Arc<Budget>) -> Result<Term, ParseError> {
-    if let Some(mode) = telemetry::fault::hit("sf.parse") {
-        match mode {
-            telemetry::fault::FaultMode::Error => {
-                budget.trip(Resource::Injected, 0);
-                return Err(ParseError::TooDeep {
-                    span: Span::default(),
-                    limit: 0,
-                });
-            }
-            telemetry::fault::FaultMode::Panic => panic!("injected fault panic at sf.parse"),
-        }
-    }
-    let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
-    p.set_budget(budget);
-    let t = p.term()?;
-    p.expect_eof()?;
-    Ok(t)
-}
-
 /// Parses a complete System F type.
 ///
 /// # Errors
@@ -158,8 +127,6 @@ pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     depth: usize,
-    depth_limit: usize,
-    budget: Option<Arc<Budget>>,
 }
 
 impl Parser {
@@ -168,34 +135,16 @@ impl Parser {
             tokens,
             pos: 0,
             depth: 0,
-            depth_limit: PARSE_DEPTH_FALLBACK,
-            budget: None,
         }
-    }
-
-    /// Attaches a budget: its `max_depth` (clamped by the stack-safety
-    /// ceiling) bounds recursion, and exhaustion is latched on it.
-    pub(crate) fn set_budget(&mut self, budget: Arc<Budget>) {
-        self.depth_limit = budget
-            .limits()
-            .max_depth
-            .map_or(PARSE_DEPTH_FALLBACK, |d| {
-                usize::try_from(d).unwrap_or(PARSE_DEPTH_FALLBACK).min(PARSE_DEPTH_FALLBACK)
-            });
-        self.budget = Some(budget);
     }
 
     /// Enters one level of grammar recursion; pair with `ascend`.
     fn descend(&mut self) -> Result<(), ParseError> {
         self.depth += 1;
-        if self.depth > self.depth_limit {
-            let limit = self.depth_limit as u64;
-            if let Some(b) = &self.budget {
-                b.trip(Resource::Depth, limit);
-            }
+        if self.depth > PARSE_DEPTH_LIMIT {
             return Err(ParseError::TooDeep {
                 span: self.peek().span,
-                limit,
+                limit: PARSE_DEPTH_LIMIT as u64,
             });
         }
         Ok(())

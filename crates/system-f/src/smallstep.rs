@@ -15,8 +15,6 @@
 
 use std::collections::HashMap;
 
-use telemetry::limits::{Budget, Exhausted};
-
 use crate::types::subst as subst_ty_map;
 use crate::{Prim, Symbol, Term, Ty};
 
@@ -254,8 +252,6 @@ pub enum Stuck {
     EmptyList(Prim),
     /// Anything else: only reachable on ill-typed input.
     IllTyped(String),
-    /// The shared resource budget ran out (see [`normalize_budgeted`]).
-    ResourceExhausted(Exhausted),
 }
 
 /// Performs one call-by-value reduction step, or explains why none exists.
@@ -460,33 +456,6 @@ pub fn normalize(t: &Term, fuel: usize) -> Result<(Term, usize), (Term, Stuck)> 
         }
     }
     Err((cur, Stuck::IllTyped("out of fuel".into())))
-}
-
-/// Runs a term to a normal form by repeated [`step`], charging one fuel
-/// unit per step against a shared [`Budget`] (which also enforces the
-/// wall-clock deadline). Divergent terms stop with
-/// [`Stuck::ResourceExhausted`] carrying the tripped cap.
-///
-/// # Errors
-///
-/// `Err((last_term, stuck))` as for [`normalize`], with budget
-/// exhaustion reported via [`Stuck::ResourceExhausted`].
-pub fn normalize_budgeted(t: &Term, budget: &Budget) -> Result<(Term, usize), (Term, Stuck)> {
-    let mut cur = t.clone();
-    let mut n = 0;
-    loop {
-        if let Err(e) = budget.charge_fuel(1) {
-            return Err((cur, Stuck::ResourceExhausted(e)));
-        }
-        match step(&cur) {
-            Ok(next) => {
-                cur = next;
-                n += 1;
-            }
-            Err(Stuck::Value) => return Ok((cur, n)),
-            Err(stuck) => return Err((cur, stuck)),
-        }
-    }
 }
 
 #[cfg(test)]

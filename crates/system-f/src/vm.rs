@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use telemetry::limits::{Budget, Exhausted};
+use telemetry::limits::{Budget, Exhausted, Resource};
 
 use crate::{Prim, Symbol, Term};
 
@@ -667,7 +667,7 @@ struct Frame {
     stack_base: usize,
 }
 
-/// Per-instruction observation hook for [`run_with`]. The dispatch loop
+/// Per-instruction observation hook for [`run_inner`]. The dispatch loop
 /// is generic over this, so the disabled path ([`NoProfile`])
 /// monomorphizes to the unobserved loop — zero cost, verified by the
 /// C1–C4 benchmarks.
@@ -676,7 +676,7 @@ trait Profiler {
     fn dispatch(&mut self, instr: &Instr, frames: usize, stack: usize);
 }
 
-/// The no-op profiler behind [`run`].
+/// The no-op profiler behind [`run_budgeted`].
 struct NoProfile;
 
 impl Profiler for NoProfile {
@@ -684,7 +684,7 @@ impl Profiler for NoProfile {
     fn dispatch(&mut self, _instr: &Instr, _frames: usize, _stack: usize) {}
 }
 
-/// The counting profiler behind [`run_profiled`].
+/// The counting profiler behind [`run_profiled_budgeted`].
 #[derive(Default)]
 struct Counting {
     by_opcode: [u64; OPCODE_NAMES.len()],
@@ -701,52 +701,11 @@ impl Profiler for Counting {
     }
 }
 
-
-/// Per-instruction resource hook for [`run_inner`], mirroring
-/// [`Profiler`]: the dispatch loop is generic over it, so the ungoverned
-/// path monomorphizes to the unchecked loop at zero cost.
-trait Governor {
-    /// Called once per dispatched instruction; `Err` aborts execution.
-    fn charge(&mut self) -> Result<(), VmError>;
-}
-
-/// The no-op governor behind [`run`] / [`run_profiled`].
-struct Ungoverned;
-
-impl Governor for Ungoverned {
-    #[inline(always)]
-    fn charge(&mut self) -> Result<(), VmError> {
-        Ok(())
-    }
-}
-
-/// Instructions per batched fuel charge in [`Budgeted`]: the atomic
+/// Instructions per batched fuel charge in [`run_inner`]: the atomic
 /// add and deadline poll are amortized over this many dispatches.
-const GOVERNOR_BATCH: u32 = 1024;
+const FUEL_BATCH: u32 = 1024;
 
-/// The budget-enforcing governor behind [`run_budgeted`].
-struct Budgeted<'a> {
-    budget: &'a Budget,
-    /// Instructions until the next batched charge.
-    countdown: u32,
-}
-
-impl Governor for Budgeted<'_> {
-    #[inline]
-    fn charge(&mut self) -> Result<(), VmError> {
-        if self.countdown > 0 {
-            self.countdown -= 1;
-            return Ok(());
-        }
-        self.countdown = GOVERNOR_BATCH - 1;
-        self.budget
-            .charge_fuel(u64::from(GOVERNOR_BATCH))
-            .and_then(|()| self.budget.check_deadline())
-            .map_err(VmError::ResourceExhausted)
-    }
-}
-
-/// Execution counters reported by [`run_profiled`].
+/// Execution counters reported by [`run_profiled_budgeted`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VmStats {
     /// Instructions dispatched, by opcode name (all of [`OPCODE_NAMES`],
@@ -773,31 +732,19 @@ impl VmStats {
     }
 }
 
-/// Runs a compiled program to a value.
-///
-/// # Errors
-///
-/// See [`VmError`]; well-typed programs only fail on `car`/`cdr` of `nil`
-/// or ill-founded recursion.
-pub fn run(program: &Program) -> Result<VmValue, VmError> {
-    run_inner(program, &mut NoProfile, &mut Ungoverned)
-}
-
-/// Runs a compiled program against a resource budget: every
-/// [`GOVERNOR_BATCH`] instructions charge batched fuel and re-check the
-/// wall-clock deadline, so divergent bytecode terminates with
+/// Runs a compiled program against a resource budget: every 1024
+/// instructions charge batched fuel and re-check the
+/// wall-clock deadline, and every call checks the frame count against
+/// the depth cap, so divergent bytecode terminates with
 /// [`VmError::ResourceExhausted`].
 ///
 /// # Errors
 ///
-/// Same as [`run`], plus [`VmError::ResourceExhausted`].
+/// See [`VmError`]; well-typed programs only fail on `car`/`cdr` of `nil`,
+/// ill-founded recursion, or [`VmError::ResourceExhausted`].
 pub fn run_budgeted(program: &Program, budget: &Budget) -> Result<VmValue, VmError> {
     fault_point(budget)?;
-    let mut gov = Budgeted {
-        budget,
-        countdown: 0,
-    };
-    run_inner(program, &mut NoProfile, &mut gov)
+    run_inner(program, &mut NoProfile, budget)
 }
 
 /// Checks the `vm.run` fault-injection point, latching the budget when an
@@ -806,14 +753,14 @@ fn fault_point(budget: &Budget) -> Result<(), VmError> {
     match telemetry::fault::hit("vm.run") {
         None => Ok(()),
         Some(telemetry::fault::FaultMode::Error) => Err(VmError::ResourceExhausted(
-            budget.trip(telemetry::limits::Resource::Injected, 0),
+            budget.trip(Resource::Injected, 0),
         )),
         Some(telemetry::fault::FaultMode::Panic) => panic!("injected fault panic at vm.run"),
     }
 }
 
-/// [`run_profiled`] under a resource budget: dispatch counts and stack
-/// gauges are collected while divergent bytecode is still cut off.
+/// [`run_budgeted`], also counting instruction dispatches per opcode
+/// and tracking peak stack depths.
 ///
 /// # Errors
 ///
@@ -824,11 +771,7 @@ pub fn run_profiled_budgeted(
 ) -> Result<(VmValue, VmStats), VmError> {
     fault_point(budget)?;
     let mut prof = Counting::default();
-    let mut gov = Budgeted {
-        budget,
-        countdown: 0,
-    };
-    let v = run_inner(program, &mut prof, &mut gov)?;
+    let v = run_inner(program, &mut prof, budget)?;
     Ok((
         v,
         VmStats {
@@ -843,34 +786,18 @@ pub fn run_profiled_budgeted(
     ))
 }
 
-/// Runs a compiled program while counting instruction dispatches per
-/// opcode and tracking peak stack depths.
-///
-/// # Errors
-///
-/// Same as [`run`].
-pub fn run_profiled(program: &Program) -> Result<(VmValue, VmStats), VmError> {
-    let mut prof = Counting::default();
-    let v = run_inner(program, &mut prof, &mut Ungoverned)?;
-    Ok((
-        v,
-        VmStats {
-            by_opcode: OPCODE_NAMES
-                .iter()
-                .copied()
-                .zip(prof.by_opcode.iter().copied())
-                .collect(),
-            max_frame_depth: prof.max_frame_depth,
-            max_stack_depth: prof.max_stack_depth,
-        },
-    ))
-}
-
-fn run_inner<P: Profiler, G: Governor>(
+fn run_inner<P: Profiler>(
     program: &Program,
     prof: &mut P,
-    gov: &mut G,
+    budget: &Budget,
 ) -> Result<VmValue, VmError> {
+    // The depth cap bounds the frame count; it is read once here, so a
+    // call compares two integers instead of touching the budget.
+    let max_frames = budget
+        .limits()
+        .max_depth
+        .map_or(usize::MAX, |d| usize::try_from(d).unwrap_or(usize::MAX));
+    let mut fuel_countdown = 0u32;
     let mut stack: Vec<VmValue> = Vec::new();
     let mut frames = vec![Frame {
         func: 0,
@@ -888,7 +815,14 @@ fn run_inner<P: Profiler, G: Governor>(
         let instr = func.code[frame.ip].clone();
         frame.ip += 1;
         prof.dispatch(&instr, frame_depth, stack.len());
-        gov.charge()?;
+        if fuel_countdown == 0 {
+            fuel_countdown = FUEL_BATCH;
+            budget
+                .charge_fuel(u64::from(FUEL_BATCH))
+                .and_then(|()| budget.check_deadline())
+                .map_err(VmError::ResourceExhausted)?;
+        }
+        fuel_countdown -= 1;
         match instr {
             Instr::Int(n) => stack.push(VmValue::Int(n)),
             Instr::Bool(b) => stack.push(VmValue::Bool(b)),
@@ -947,6 +881,11 @@ fn run_inner<P: Profiler, G: Governor>(
                         let target = &program.funcs[func as usize];
                         if target.arity != nargs {
                             return Err(VmError::ArityMismatch);
+                        }
+                        if frame_depth >= max_frames {
+                            return Err(VmError::ResourceExhausted(
+                                budget.trip(Resource::Depth, max_frames as u64),
+                            ));
                         }
                         let mut locals: Vec<VmValue> =
                             Vec::with_capacity(target.n_captures + nargs + 1);
@@ -1118,15 +1057,6 @@ impl fmt::Display for Program {
     }
 }
 
-/// Compiles and runs a term in one call.
-///
-/// # Errors
-///
-/// See [`compile`] and [`run`].
-pub fn compile_and_run(term: &Term) -> Result<VmValue, VmError> {
-    run(&compile(term)?)
-}
-
 /// The number of instructions in a compiled program (all functions).
 pub fn instruction_count(program: &Program) -> usize {
     program.funcs.iter().map(|f| f.code.len()).sum()
@@ -1136,18 +1066,23 @@ pub fn instruction_count(program: &Program) -> usize {
 mod tests {
     use super::*;
     use crate::{eval, parse_term, typecheck};
+    use telemetry::limits::Limits;
+
+    fn vm_run(t: &Term) -> Result<VmValue, VmError> {
+        run_budgeted(&compile(t)?, &Budget::unlimited())
+    }
 
     fn vm(src: &str) -> VmValue {
         let t = parse_term(src).unwrap();
         typecheck(&t).unwrap();
-        compile_and_run(&t).unwrap()
+        vm_run(&t).unwrap()
     }
 
     fn agree(src: &str) {
         let t = parse_term(src).unwrap();
         typecheck(&t).unwrap();
         let big = eval(&t).unwrap();
-        let v = compile_and_run(&t).unwrap();
+        let v = vm_run(&t).unwrap();
         assert!(v.agrees_with(&big), "{src}: vm {v} vs eval {big}");
     }
 
@@ -1223,7 +1158,7 @@ mod tests {
     fn car_of_nil_errors() {
         let t = parse_term("car[int](nil[int])").unwrap();
         assert!(matches!(
-            compile_and_run(&t),
+            vm_run(&t),
             Err(VmError::EmptyList(Prim::Car))
         ));
     }
@@ -1264,8 +1199,8 @@ mod tests {
         )
         .unwrap();
         let p = compile(&t).unwrap();
-        let plain = run(&p).unwrap();
-        let (profiled, stats) = run_profiled(&p).unwrap();
+        let plain = run_budgeted(&p, &Budget::unlimited()).unwrap();
+        let (profiled, stats) = run_profiled_budgeted(&p, &Budget::unlimited()).unwrap();
         assert!(profiled.agrees_with(&crate::eval(&t).unwrap()), "{profiled}");
         assert_eq!(format!("{plain}"), format!("{profiled}"));
         // One `ret` per call, plus the entry frame's own return.
@@ -1275,6 +1210,38 @@ mod tests {
         assert!(stats.max_frame_depth >= 10, "{stats:?}");
         assert_eq!(stats.by_opcode.len(), OPCODE_NAMES.len());
         assert_eq!(stats.count("no_such_opcode"), 0);
+    }
+
+    #[test]
+    fn the_depth_cap_bounds_the_frame_count() {
+        // Ω never returns: every call pushes a frame. The depth cap stops
+        // it long before the fuel cap would.
+        let t = parse_term("(fix f: fn(int) -> int. lam x: int. f(x))(0)").unwrap();
+        let p = compile(&t).unwrap();
+        let budget = Budget::new(Limits {
+            fuel: Some(50_000_000),
+            max_depth: Some(64),
+            ..Limits::UNLIMITED
+        });
+        let err = run_budgeted(&p, &budget).unwrap_err();
+        let VmError::ResourceExhausted(x) = err else {
+            panic!("{err:?}");
+        };
+        assert_eq!((x.resource, x.limit), (Resource::Depth, 64));
+        assert!(budget.fuel_spent() < 10_000, "{}", budget.fuel_spent());
+        // 63 nested calls under the entry frame fill the cap exactly.
+        let t = parse_term(
+            "(fix go: fn(int) -> int.
+               lam n: int. if ile(n, 0) then 0 else iadd(1, go(isub(n, 1))))(62)",
+        )
+        .unwrap();
+        let budget = Budget::new(Limits {
+            max_depth: Some(64),
+            ..Limits::UNLIMITED
+        });
+        let (v, stats) = run_profiled_budgeted(&compile(&t).unwrap(), &budget).unwrap();
+        assert!(matches!(v, VmValue::Int(62)), "{v}");
+        assert_eq!(stats.max_frame_depth, 64);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use system_f::smallstep::{normalize, step, Stuck};
 use system_f::types::alpha_eq;
 use system_f::{eval, typecheck, Symbol, Term, Ty, Value};
+use telemetry::limits::Budget;
 
 /// Deterministic SplitMix64 RNG.
 struct Rng(u64);
@@ -254,7 +255,8 @@ proptest! {
     fn vm_agrees_with_bigstep(seed in any::<u64>()) {
         let (term, _) = generate(seed);
         let big = eval(&term).unwrap();
-        let vm = system_f::vm::compile_and_run(&term)
+        let vm = system_f::vm::compile(&term)
+            .and_then(|p| system_f::vm::run_budgeted(&p, &Budget::unlimited()))
             .unwrap_or_else(|e| panic!("vm failed: {e}\n{term}"));
         prop_assert!(vm.agrees_with(&big), "vm {vm} vs eval {big}\n{term}");
     }

@@ -11,8 +11,9 @@
 //! fault ::= point ["@" N] [":panic"]
 //! ```
 //!
-//! `point` is an instrumented-point name such as `check.expr`; `@N`
-//! fires on the N-th visit to that point (1-based, default 1);
+//! `point` is one of the instrumented points in [`POINTS`], such as
+//! `check.expr`; any other name is rejected. `@N` fires on the N-th
+//! visit to that point (1-based, default 1);
 //! `:panic` panics at the site instead of returning an injected error —
 //! used to prove the CLI's `catch_unwind` isolation boundary.
 //!
@@ -21,14 +22,24 @@
 //! thread-local [`with_plan`]; the CLI installs one process-wide with
 //! [`install`]. When no plan is active anywhere, [`hit`] is a single
 //! relaxed atomic load.
-//!
-//! Instrumented points currently wired in:
-//! `parse`, `sf.parse`, `check.expr`, `check.resolve_model`,
-//! `check.where_enter`, `interp.eval`, `sf.eval`, `vm.run`.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// Every instrumented point, in pipeline order: the F_G parser, the
+/// checker's expression walk, model lookup and where-clause entry, the
+/// direct interpreter, the System F evaluator, and the VM. This is the
+/// only list; [`FaultPlan::parse`] rejects any other name.
+pub const POINTS: &[&str] = &[
+    "parse",
+    "check.expr",
+    "check.resolve_model",
+    "check.where_enter",
+    "interp.eval",
+    "sf.eval",
+    "vm.run",
+];
 
 /// What an armed fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +72,8 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for an empty point name, a bad
-    /// visit count, or an unknown mode suffix.
+    /// Returns a human-readable message for an empty or unknown point
+    /// name, a bad visit count, or an unknown mode suffix.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut faults = Vec::new();
         for raw in spec.split(',') {
@@ -91,6 +102,12 @@ impl FaultPlan {
             };
             if point.is_empty() {
                 return Err(format!("empty fault point in `{raw}`"));
+            }
+            if !POINTS.contains(&point) {
+                return Err(format!(
+                    "unknown fault point `{point}` (known: {})",
+                    POINTS.join(", ")
+                ));
             }
             faults.push(Fault {
                 point: point.to_string(),
@@ -170,6 +187,7 @@ pub fn hit(point: &str) -> Option<FaultMode> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
+    debug_assert!(POINTS.contains(&point), "unlisted fault point `{point}`");
     let scoped = SCOPED.with(|s| s.borrow().clone());
     if let Some(plan) = scoped {
         return plan.should_fail(point);
@@ -198,51 +216,62 @@ mod tests {
         assert_eq!(p.faults[1].mode, FaultMode::Error);
 
         assert!(FaultPlan::parse("").is_err());
-        assert!(FaultPlan::parse("x@0").is_err());
-        assert!(FaultPlan::parse("x@zzz").is_err());
-        assert!(FaultPlan::parse("x:explode").is_err());
+        assert!(FaultPlan::parse("parse@0").is_err());
+        assert!(FaultPlan::parse("parse@zzz").is_err());
+        assert!(FaultPlan::parse("parse:explode").is_err());
         assert!(FaultPlan::parse("@2").is_err());
     }
 
     #[test]
+    fn unknown_points_are_rejected() {
+        for point in POINTS {
+            assert!(FaultPlan::parse(point).is_ok(), "{point}");
+        }
+        for bad in ["bogus.point", "sf.parse", "check", "parse,bogus@2", "Parse"] {
+            let err = FaultPlan::parse(bad).unwrap_err();
+            assert!(err.contains("unknown fault point"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn fires_on_the_nth_visit_only() {
-        let p = FaultPlan::parse("a@3").unwrap();
-        assert_eq!(p.should_fail("a"), None);
-        assert_eq!(p.should_fail("b"), None);
-        assert_eq!(p.should_fail("a"), None);
-        assert_eq!(p.should_fail("a"), Some(FaultMode::Error));
-        assert_eq!(p.should_fail("a"), None);
+        let p = FaultPlan::parse("sf.eval@3").unwrap();
+        assert_eq!(p.should_fail("sf.eval"), None);
+        assert_eq!(p.should_fail("vm.run"), None);
+        assert_eq!(p.should_fail("sf.eval"), None);
+        assert_eq!(p.should_fail("sf.eval"), Some(FaultMode::Error));
+        assert_eq!(p.should_fail("sf.eval"), None);
     }
 
     #[test]
     fn scoped_plan_is_removed_after_the_closure() {
-        assert_eq!(hit("scoped.point"), None);
-        let fired = with_plan(FaultPlan::parse("scoped.point").unwrap(), || {
-            hit("scoped.point")
+        assert_eq!(hit("check.expr"), None);
+        let fired = with_plan(FaultPlan::parse("check.expr").unwrap(), || {
+            hit("check.expr")
         });
         assert_eq!(fired, Some(FaultMode::Error));
-        assert_eq!(hit("scoped.point"), None);
+        assert_eq!(hit("check.expr"), None);
     }
 
     #[test]
     fn scoped_plan_is_removed_on_unwind() {
         let r = std::panic::catch_unwind(|| {
-            with_plan(FaultPlan::parse("unwind.point:panic").unwrap(), || {
-                if hit("unwind.point") == Some(FaultMode::Panic) {
+            with_plan(FaultPlan::parse("interp.eval:panic").unwrap(), || {
+                if hit("interp.eval") == Some(FaultMode::Panic) {
                     panic!("injected");
                 }
             })
         });
         assert!(r.is_err());
-        assert_eq!(hit("unwind.point"), None);
+        assert_eq!(hit("interp.eval"), None);
     }
 
     #[test]
     fn scoped_plans_do_not_leak_across_threads() {
-        with_plan(FaultPlan::parse("xthread.point").unwrap(), || {
-            let other = std::thread::spawn(|| hit("xthread.point")).join().unwrap();
+        with_plan(FaultPlan::parse("vm.run").unwrap(), || {
+            let other = std::thread::spawn(|| hit("vm.run")).join().unwrap();
             assert_eq!(other, None);
-            assert_eq!(hit("xthread.point"), Some(FaultMode::Error));
+            assert_eq!(hit("vm.run"), Some(FaultMode::Error));
         });
     }
 }

@@ -104,8 +104,8 @@ pub struct Limits {
 }
 
 impl Limits {
-    /// No caps at all (the library default: existing entry points keep
-    /// their historical unbounded behavior).
+    /// No caps at all: the budget behind the library's short entry
+    /// points (`parse_expr`, `check_program`, `eval`, ...).
     pub const UNLIMITED: Limits = Limits {
         fuel: None,
         max_depth: None,
@@ -198,13 +198,6 @@ impl Budget {
         Budget::new(Limits::UNLIMITED)
     }
 
-    /// A process-wide unlimited budget for legacy entry points that
-    /// predate budgets.
-    pub fn unlimited_ref() -> &'static Budget {
-        static GLOBAL: OnceLock<Budget> = OnceLock::new();
-        GLOBAL.get_or_init(Budget::unlimited)
-    }
-
     /// The caps this budget enforces.
     pub fn limits(&self) -> &Limits {
         &self.limits
@@ -259,7 +252,8 @@ impl Budget {
         Ok(())
     }
 
-    /// Charges one dictionary-plan node.
+    /// Charges one dictionary-plan node; re-checks the deadline every
+    /// 1024 nodes, as [`Budget::charge_fuel`] does every 1024 fuel units.
     pub fn charge_dict_node(&self) -> Result<(), Exhausted> {
         self.ok()?;
         let made = self.dict_nodes.fetch_add(1, Ordering::Relaxed) + 1;
@@ -267,6 +261,9 @@ impl Budget {
             if made > limit {
                 return Err(self.trip(Resource::DictNodes, limit));
             }
+        }
+        if made & DEADLINE_POLL_MASK == 0 {
+            self.check_deadline()?;
         }
         Ok(())
     }

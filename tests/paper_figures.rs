@@ -8,6 +8,12 @@
 use fg_lang::fg::{self, corpus};
 use fg_lang::system_f;
 
+/// Parses and checks `src`, panicking on any error.
+fn compile(src: &str) -> fg::Compiled {
+    let expr = fg::parser::parse_expr(src).expect("parse");
+    fg::check_program(&expr).expect("compile")
+}
+
 /// F1, F5, F6, §3.1, §5, §5.2: each corpus program typechecks, its
 /// translation typechecks in System F (Theorems 1/2), and both execution
 /// paths produce the paper's expected value.
@@ -56,7 +62,7 @@ fn figure_7_dictionary_representation() {
         model Semigroup<int> { binary_op = iadd; } in
         model Monoid<int> { identity_elt = 0; } in
         Monoid<int>.binary_op(40, 2)";
-    let compiled = fg::compile(src).expect("compile");
+    let compiled = compile(src);
     let printed = compiled.term.to_string();
 
     // The Semigroup dictionary is a 1-tuple holding iadd (via a member let).
@@ -79,7 +85,7 @@ fn figure_7_dictionary_representation() {
 #[test]
 fn where_clause_translates_to_dictionary_parameter() {
     let p = corpus::FIG5_ACCUMULATE;
-    let compiled = fg::compile(p.source).expect("compile");
+    let compiled = compile(p.source);
     let printed = compiled.term.to_string();
     assert!(
         printed.contains("biglam t. lam Monoid_"),
@@ -97,7 +103,7 @@ fn where_clause_translates_to_dictionary_parameter() {
 #[test]
 fn merge_translation_collapses_element_types() {
     let p = corpus::SEC5_MERGE;
-    let compiled = fg::compile(p.source).expect("compile");
+    let compiled = compile(p.source);
     let printed = compiled.term.to_string();
     // Two elt binders (one per Iterator constraint)…
     let binders = printed
@@ -150,7 +156,7 @@ fn stl_prelude_end_to_end() {
         "iadd(accumulate[int](range(1, 11)),
               count_if[list int](reverse[int](range(0, 100)), lam x: int. ilt(x, 5)))",
     );
-    let compiled = fg::compile(&src).expect("compile");
+    let compiled = compile(&src);
     system_f::typecheck(&compiled.term).expect("translation well-typed");
     assert_eq!(
         system_f::eval(&compiled.term).unwrap(),
