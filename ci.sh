@@ -141,10 +141,10 @@ assert pool["cache_hits"] >= 1, pool
 PYEOF
     # Prelude bodies through the daemon: each worker checks the prelude
     # once and every later body runs against that snapshot, so each reply
-    # must equal a one-shot run of the same body.
+    # must equal a one-shot run of the same body, generated names and all.
     printf 'accumulate[int](range(1, 10))\n' > "$CI_TMP/body1.fg"
     printf 'count_if[list int](range(0, 10), lam x: int. ilt(x, 4))\n' > "$CI_TMP/body2.fg"
-    for method in check run; do
+    for method in check run translate elaborate; do
         for body in body1 body2; do
             "$FG" --prelude rpc --addr "$addr" "$method" "$CI_TMP/$body.fg" \
                 > "$CI_TMP/rpc-$method-$body.json" || true
@@ -160,6 +160,11 @@ assert reply["output"] == one_shot, (reply, one_shot)
 PYEOF
         done
     done
+    # A batch prints what its files print alone, byte for byte.
+    for f in examples/*.fg; do "$FG" translate "$f"; done > "$CI_TMP/translate-one.out"
+    "$FG" --jobs 2 translate examples/*.fg > "$CI_TMP/translate-batch.out"
+    cmp -s "$CI_TMP/translate-one.out" "$CI_TMP/translate-batch.out" \
+        || { echo "FAIL: --jobs 2 translate differs from one-shot runs"; exit 1; }
     "$FG" rpc --addr "$addr" shutdown > /dev/null
     code=0
     wait "$serve_pid" || code=$?

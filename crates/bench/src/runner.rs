@@ -156,7 +156,8 @@ fn stl_prelude(suite: &mut Suite) {
         system_f::eval(black_box(&compiled.term)).unwrap()
     });
     let prefix = fg::stdlib::prelude_prefix(Default::default()).expect("prelude parses");
-    let snapshot = fg::prefix::Snapshot::check_shared(std::rc::Rc::new(prefix), Default::default())
+    let prefix = std::rc::Rc::new(prefix);
+    let snapshot = fg::prefix::Snapshot::check(prefix, [], <_>::default(), <_>::default())
         .expect("prelude checks");
     let body = snapshot
         .prefix()

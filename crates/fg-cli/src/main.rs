@@ -593,7 +593,7 @@ fn stages(
     // A large Err variant is fine here: this runs once per invocation.
     #[allow(clippy::result_large_err)]
     let checked = metrics.phase("check_translate", || {
-        let snapshot = prelude.snapshot(&prefix, tracer, budget)?;
+        let snapshot = prelude.snapshot(&prefix, &body, tracer, budget)?;
         let compiled = snapshot.check_body(&body, tracer.clone(), budget.clone())?;
         Ok::<_, fg::CheckError>((snapshot, compiled))
     });

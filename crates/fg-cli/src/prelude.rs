@@ -13,19 +13,23 @@
 //! A traced request, or one run under an armed fault plan, builds a
 //! throwaway prelude through the same code, with its own tracer and the
 //! fault plan: its event stream and fault-visit counts then cover the
-//! prelude exactly as a whole-program run does.
+//! prelude exactly as a whole-program run does. So does a body that
+//! spells a name the cached prelude generated, with the body's names
+//! reserved: its output is then that of the whole program.
 
 // `CheckError` carries the offending types inline (as in `fg` itself);
 // a snapshot is built once per worker, so its size costs nothing here.
 #![allow(clippy::result_large_err)]
 
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use fg::ast::Expr;
 use fg::prefix::{relay_exhaustion, Prefix, Snapshot};
 use fg::CheckError;
-use system_f::ParseError;
+use system_f::{ParseError, Symbol};
 use telemetry::limits::{Budget, Limits};
 use telemetry::trace::Tracer;
 
@@ -104,44 +108,48 @@ impl Prelude {
         }
     }
 
-    /// The checked `prefix`. A prelude's is checked under a budget of
-    /// its own; if that runs out, `budget` is tripped alike.
+    /// The checked `prefix` for `body`. A prelude's is checked under a
+    /// budget of its own; if that runs out, `budget` is tripped alike.
+    /// A body that spells a name the cached prelude generated would be
+    /// captured by it, so it gets a throwaway prelude that reserves the
+    /// body's names, as a whole-program check does.
     pub fn snapshot(
         self,
         prefix: &Rc<Prefix>,
+        body: &Expr,
         tracer: &Tracer,
         budget: &Arc<Budget>,
     ) -> Result<Rc<Snapshot>, CheckError> {
         let limits = *budget.limits();
-        let own = || Arc::new(Budget::new(limits));
-        let relayed = |own: &Budget, checked: Result<Snapshot, CheckError>| {
-            checked
+        let check_own = |reserved: HashSet<Symbol>, tracer: Tracer| {
+            let own = Arc::new(Budget::new(limits));
+            Snapshot::check(Rc::clone(prefix), reserved, tracer, Arc::clone(&own))
                 .map(Rc::new)
-                .inspect_err(|_| relay_exhaustion(own, budget))
+                .inspect_err(|_| relay_exhaustion(&own, budget))
         };
         match self {
             Prelude::None => {
-                Snapshot::check(Rc::clone(prefix), tracer.clone(), Arc::clone(budget)).map(Rc::new)
+                Snapshot::check(Rc::clone(prefix), [], tracer.clone(), Arc::clone(budget))
+                    .map(Rc::new)
             }
-            Prelude::Throwaway => {
-                let own = own();
-                let checked = Snapshot::check(Rc::clone(prefix), tracer.clone(), Arc::clone(&own));
-                relayed(&own, checked)
-            }
-            Prelude::Cached => WORKER.with(|w| {
-                let mut w = w.borrow_mut();
-                let w = w.at(limits);
-                if let Some(snapshot) = &w.snapshot {
-                    return Ok(Rc::clone(snapshot));
+            Prelude::Throwaway => check_own(body.names(), tracer.clone()),
+            Prelude::Cached => {
+                let cached = WORKER.with(|w| {
+                    let mut w = w.borrow_mut();
+                    let w = w.at(limits);
+                    if let Some(snapshot) = &w.snapshot {
+                        return Ok(Rc::clone(snapshot));
+                    }
+                    let snapshot = check_own(HashSet::new(), Tracer::disabled())?;
+                    w.snapshot = Some(Rc::clone(&snapshot));
+                    Ok(snapshot)
+                })?;
+                if cached.captures(&body.names()) {
+                    check_own(body.names(), tracer.clone())
+                } else {
+                    Ok(cached)
                 }
-                let own = own();
-                let snapshot = relayed(
-                    &own,
-                    Snapshot::check_shared(Rc::clone(prefix), Arc::clone(&own)),
-                )?;
-                w.snapshot = Some(Rc::clone(&snapshot));
-                Ok(snapshot)
-            }),
+            }
         }
     }
 }

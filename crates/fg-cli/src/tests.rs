@@ -10,8 +10,9 @@ use crate::{run_request, PIPELINE_METHODS};
 
 /// The bodies compared: the prelude bodies of `fg::stdlib`'s tests and
 /// of `check_implicit.rs`, the six algorithm families the end-to-end
-/// benchmark sends, an ill-typed body, a parse error, a lex error, and
-/// the empty body.
+/// benchmark sends, a body binding the name of the prelude's
+/// `Monoid<int>` dictionary, an ill-typed body, a parse error, a lex
+/// error, and the empty body.
 const BODIES: &[&str] = &[
     "accumulate[int](range(1, 5))",
     "it_accumulate[list int](range(1, 11))",
@@ -51,50 +52,12 @@ const BODIES: &[&str] = &[
     "count_if[list int](range(7, 19), lam x: int. ilt(x, 11))",
     "contains[list int](range(7, 19), 11)",
     "min_element[list int](reverse[int](range(7, 19)))",
+    "let Monoid_2 = 7 in iadd(Monoid_2, accumulate[int](range(1, 5)))",
     "accumulate[bool](nil[bool])",
     "iadd(1,",
     "1 + 2",
     "",
 ];
-
-/// Methods whose output holds fresh names: compared after renumbering.
-const FRESH_NAMED: [&str; 4] = ["translate", "elaborate", "bytecode", "explain"];
-
-/// Renumbers `name_N` fresh-name suffixes in order of first occurrence:
-/// fresh names come from a process-wide counter, so only their pattern
-/// is a function of the source.
-fn renumber(text: &str) -> String {
-    let mut seen: Vec<String> = Vec::new();
-    let mut out = String::with_capacity(text.len());
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_' || b == b'\'';
-        if !is_word(bytes[i]) {
-            out.push(char::from(bytes[i]));
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && is_word(bytes[i]) {
-            i += 1;
-        }
-        let word = &text[start..i];
-        match word.rsplit_once('_') {
-            Some((base, n))
-                if !base.is_empty() && !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit()) =>
-            {
-                let k = seen.iter().position(|w| w == word).unwrap_or_else(|| {
-                    seen.push(word.to_owned());
-                    seen.len() - 1
-                });
-                out.push_str(&format!("{base}_#{k}"));
-            }
-            _ => out.push_str(word),
-        }
-    }
-    out
-}
 
 /// One request's visible outcome, as `run_file` builds it.
 fn request(method: &str, source: &str, use_prelude: bool) -> (u8, String, String) {
@@ -111,11 +74,7 @@ fn request(method: &str, source: &str, use_prelude: bool) -> (u8, String, String
         Limits::DEFAULT_CAPS,
         &tracer,
     );
-    if FRESH_NAMED.contains(&method) {
-        (out.code, renumber(&out.stdout), renumber(&out.stderr))
-    } else {
-        (out.code, out.stdout, out.stderr)
-    }
+    (out.code, out.stdout, out.stderr)
 }
 
 #[test]
@@ -176,12 +135,4 @@ fn snapshot_requests_match_whole_program_requests() {
             );
         }
     }
-}
-
-#[test]
-fn renumbering_follows_first_occurrence() {
-    assert_eq!(
-        renumber("let Monoid_17 = x in Semigroup_3(Monoid_17, y_2')"),
-        "let Monoid_#0 = x in Semigroup_#1(Monoid_#0, y_2')"
-    );
 }

@@ -186,7 +186,13 @@ struct ServeGuard {
 
 impl ServeGuard {
     fn spawn() -> ServeGuard {
+        ServeGuard::spawn_with(&[])
+    }
+
+    /// [`ServeGuard::spawn`] with global flags (such as `--jobs 1`).
+    fn spawn_with(flags: &[&str]) -> ServeGuard {
         let mut child = Command::new(env!("CARGO_BIN_EXE_fg"))
+            .args(flags)
             .args(["serve", "--addr", "127.0.0.1:0"])
             .stdin(Stdio::null())
             .stdout(Stdio::piped())
@@ -209,7 +215,18 @@ impl ServeGuard {
     /// Sends one request via the `fg rpc` client and returns its
     /// parsed response plus the client's exit code.
     fn rpc(&self, method: &str, file: Option<&str>) -> (telemetry::json::Json, i32) {
-        let mut args = vec!["rpc", "--addr", self.addr.as_str(), method];
+        self.rpc_with(&[], method, file)
+    }
+
+    /// [`ServeGuard::rpc`] with client flags (`--prelude`) in front.
+    fn rpc_with(
+        &self,
+        flags: &[&str],
+        method: &str,
+        file: Option<&str>,
+    ) -> (telemetry::json::Json, i32) {
+        let mut args = flags.to_vec();
+        args.extend(["rpc", "--addr", self.addr.as_str(), method]);
         if let Some(f) = file {
             args.push(f);
         }
@@ -375,4 +392,141 @@ fn help_exits_zero_and_mentions_the_new_surfaces() {
     for needle in ["--jobs", "serve", "rpc", "--prelude", "--inject-fault"] {
         assert!(stdout.contains(needle), "help must mention {needle}: {stdout}");
     }
+}
+
+// ---------------------------------------------------------------------
+// Generated names: a function of the program alone
+// ---------------------------------------------------------------------
+
+/// A prelude body, and a body that binds the name the prelude's
+/// `Monoid<int>` dictionary gets (`Monoid_2`).
+const BODY: &str = "accumulate[int](range(1, 5))";
+const CAPTURE: &str = "let Monoid_2 = 7 in iadd(Monoid_2, accumulate[int](range(1, 5)))";
+
+/// Parses, typechecks and evaluates a printed translation, as any System
+/// F consumer would (on a big stack: the prelude's let chain is deep).
+fn eval_translation(text: &str) -> String {
+    let text = text.to_owned();
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(move || {
+            let term = system_f::parse_term(&text).unwrap_or_else(|e| panic!("{e}: {text}"));
+            if let Err(e) = system_f::typecheck(&term) {
+                panic!("ill-typed translation: {e}: {text}");
+            }
+            system_f::eval(&term).expect("evaluates").to_string()
+        })
+        .expect("spawn")
+        .join()
+        .expect("translation checks")
+}
+
+/// A body checked after another on a worker's cached prelude gets the
+/// names it gets alone: its `Monoid_2` is not captured by the prelude's.
+#[test]
+fn batch_prelude_does_not_capture_a_body_binder() {
+    let body = temp_file("names_body.fg", BODY);
+    let capture = temp_file("names_capture.fg", CAPTURE);
+    for lane in ["run", "vm", "direct"] {
+        let (alone, _, _) = run_fg(&["--prelude", lane, &capture], "");
+        assert_eq!(alone, "17\n", "{lane} alone");
+        let args = ["--jobs", "1", "--prelude", lane, &body, &capture];
+        let (out, err, code) = run_fg(&args, "");
+        assert_eq!((out.as_str(), code), ("10\n17\n", 0), "{lane}: {err}");
+    }
+    let args = ["--jobs", "1", "--prelude", "translate", &body, &capture];
+    let (out, err, code) = run_fg(&args, "");
+    assert_eq!(code, 0, "{err}");
+    let values: Vec<String> = out.lines().map(eval_translation).collect();
+    assert_eq!(values, ["10", "17"]);
+}
+
+/// The same two bodies through one daemon worker.
+#[test]
+fn serve_prelude_does_not_capture_a_body_binder() {
+    let body = temp_file("names_serve_body.fg", BODY);
+    let capture = temp_file("names_serve_capture.fg", CAPTURE);
+    let daemon = ServeGuard::spawn_with(&["--jobs", "1"]);
+    for lane in ["run", "vm", "direct", "translate"] {
+        for (file, want) in [(&body, "10"), (&capture, "17")] {
+            let (resp, code) = daemon.rpc_with(&["--prelude"], lane, Some(file));
+            assert_eq!(code, 0, "{lane} of {file}: {resp:?}");
+            let out = as_str(&resp, "output");
+            let got = match lane {
+                "translate" => eval_translation(out.trim_end()),
+                _ => out.trim_end().to_owned(),
+            };
+            assert_eq!(got, want, "{lane} of {file}");
+        }
+    }
+    daemon.shutdown();
+}
+
+/// A program's own `Monoid_0` is never a generated dictionary name,
+/// alone or after another program in the same batch.
+#[test]
+fn generated_names_skip_the_programs_identifiers() {
+    // The model's dictionary is the first name generated: `Monoid_0`
+    // unless the program's own is reserved.
+    let source = "
+        concept Monoid<t> { binary_op : fn(t, t) -> t; identity_elt : t; } in
+        let Monoid_0 = 5 in
+        model Monoid<int> { binary_op = iadd; identity_elt = 2; } in
+        iadd(Monoid_0, Monoid<int>.identity_elt)
+    ";
+    let file = temp_file("names_monoid_0.fg", source);
+    let fig5 = format!(
+        "{}/../../examples/fig5_accumulate.fg",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    for lane in ["run", "vm", "direct"] {
+        let (out, err, code) = run_fg(&[lane, &file], "");
+        assert_eq!((out.as_str(), code), ("7\n", 0), "{lane}: {err}");
+        let (out, err, _) = run_fg(&["--jobs", "1", lane, &fig5, &file], "");
+        assert_eq!(out, "3\n7\n", "{lane} after fig5: {err}");
+    }
+    let (out, err, code) = run_fg(&["translate", &file], "");
+    assert_eq!(code, 0, "{err}");
+    assert_eq!(eval_translation(out.trim_end()), "7");
+}
+
+/// The methods that print generated names print the same bytes for
+/// both examples alone, in `--jobs` batches of every width and order,
+/// and from a daemon on a cache miss and on a hit.
+#[test]
+fn generated_names_do_not_depend_on_history() {
+    let examples = ["fig5_accumulate.fg", "fig6_overlapping.fg"]
+        .map(|f| format!("{}/../../examples/{f}", env!("CARGO_MANIFEST_DIR")));
+    let daemon = ServeGuard::spawn();
+    for method in ["translate", "elaborate", "bytecode", "explain"] {
+        for flags in [&[][..], &["--prelude"][..]] {
+            let alone: Vec<String> = examples
+                .iter()
+                .map(|f| run_fg(&[flags, &[method, f.as_str()]].concat(), "").0)
+                .collect();
+            for jobs in ["1", "2", "4"] {
+                for [x, y] in [[0, 1], [1, 0]] {
+                    let batch = ["--jobs", jobs, method, &examples[x], &examples[y]];
+                    let (out, err, _) = run_fg(&[flags, &batch[..]].concat(), "");
+                    assert_eq!(
+                        out,
+                        format!("{}{}", alone[x], alone[y]),
+                        "{method} {flags:?} --jobs {jobs} {x}{y}: {err}"
+                    );
+                }
+            }
+            for (file, alone) in examples.iter().zip(&alone) {
+                for cached in [false, true] {
+                    let (resp, _) = daemon.rpc_with(flags, method, Some(file));
+                    assert_eq!(
+                        resp.get("cached"),
+                        Some(&telemetry::json::Json::Bool(cached)),
+                        "{method} {flags:?} {file}"
+                    );
+                    assert_eq!(as_str(&resp, "output"), alone, "{method} {flags:?} {file}");
+                }
+            }
+        }
+    }
+    daemon.shutdown();
 }

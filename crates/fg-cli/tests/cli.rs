@@ -511,23 +511,28 @@ fn unknown_fault_points_are_usage_errors() {
 /// turns that command's success (exit 0) into a diagnostic (exit 1).
 #[test]
 fn every_fault_point_fires_in_some_command() {
+    // What each point's diagnostic says. A failed model lookup reads as
+    // the miss it reports: the checker's ordinary `no model` diagnostic.
     let table = [
-        ("parse", "check"),
-        ("check.expr", "check"),
-        ("check.resolve_model", "check"),
-        ("check.where_enter", "check"),
-        ("interp.eval", "direct"),
-        ("sf.eval", "run"),
-        ("vm.run", "vm"),
+        ("parse", "check", "injected fault"),
+        ("check.expr", "check", "injected fault"),
+        ("check.resolve_model", "check", "no model"),
+        ("check.where_enter", "check", "injected fault"),
+        ("interp.eval", "direct", "injected fault"),
+        ("sf.eval", "run", "injected fault"),
+        ("vm.run", "vm", "injected fault"),
     ];
-    let listed: Vec<&str> = table.iter().map(|(point, _)| *point).collect();
+    let listed: Vec<&str> = table.iter().map(|(point, _, _)| *point).collect();
     assert_eq!(listed, telemetry::fault::POINTS, "one row per listed point");
-    for (point, cmd) in table {
+    for (point, cmd, cause) in table {
         let (_, stderr, code) = run_fg_code(&[cmd, "-"], FIG5);
         assert_eq!(code, 0, "{cmd} without a fault: {stderr}");
         let (stdout, stderr, code) = run_fg_code(&["--inject-fault", point, cmd, "-"], FIG5);
         assert_eq!(code, 1, "{point} under {cmd}: {stdout}{stderr}");
-        assert!(!stderr.trim().is_empty(), "{point} under {cmd}: no diagnostic");
+        assert!(
+            stderr.contains(cause),
+            "{point} under {cmd} must say `{cause}`: {stderr}"
+        );
     }
 }
 

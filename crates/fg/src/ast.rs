@@ -9,6 +9,8 @@
 //! ([`crate::check`]) resolves concept names against the lexical
 //! environment, producing [`crate::rty::RTy`] types.
 
+use std::collections::HashSet;
+
 use system_f::lexer::Span;
 use system_f::{Prim, Symbol};
 
@@ -229,6 +231,25 @@ impl Expr {
         }
         *slot = body;
         Some(out)
+    }
+
+    /// The identifiers the program spells that have the shape `base_N`
+    /// of a generated name ([`system_f::NameSupply`]), the only ones a
+    /// generated name can equal. They are read off the program's
+    /// concrete syntax, which parses back to this very tree. A
+    /// compilation reserves them, so its names never meet the program's.
+    pub fn names(&self) -> HashSet<Symbol> {
+        let text = self.to_string();
+        let in_ident = |b: &u8| b.is_ascii_alphanumeric() || *b == b'_' || *b == b'\'';
+        let numbered = |word: &&[u8]| {
+            let digits = word.iter().rev().take_while(|b| b.is_ascii_digit()).count();
+            digits > 0 && digits + 1 < word.len() && word[word.len() - digits - 1] == b'_'
+        };
+        text.as_bytes()
+            .split(|b| !in_ident(b))
+            .filter(numbered)
+            .map(|word| Symbol::intern(std::str::from_utf8(word).expect("identifiers are ASCII")))
+            .collect()
     }
 }
 
@@ -542,6 +563,17 @@ mod tests {
                 Box::new(FgTy::List(Box::new(FgTy::Int)))
             )
         );
+    }
+
+    #[test]
+    fn names_are_the_identifiers_shaped_like_generated_ones() {
+        let e = crate::parser::parse_expr(
+            "let x_1 = 1 in let y = 2 in lam a_: t_20. iadd(x_1, C_3<int>.m_0)",
+        )
+        .unwrap();
+        let mut names: Vec<&str> = e.names().into_iter().map(Symbol::as_str).collect();
+        names.sort_unstable();
+        assert_eq!(names, ["C_3", "m_0", "t_20", "x_1"]);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! `Iterator<Iter1>.elt` and `Iterator<Iter2>.elt` collapse to the single
 //! type parameter the paper calls `elt1`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use system_f::{Prim, Symbol, Term};
+use system_f::{NameSupply, Prim, Symbol, Term};
 use telemetry::fault::{self, FaultMode};
 use telemetry::limits::{Budget, DepthGuard, Exhausted, Resource};
 use telemetry::trace::{SpanId, Tracer};
@@ -460,6 +460,9 @@ pub struct Checker {
     /// once set). Charged per expression node, congruence node, and
     /// dictionary-plan node.
     budget: Arc<Budget>,
+    /// Where the names this compilation binds come from; the program's
+    /// own identifiers are reserved.
+    pub(crate) names: NameSupply,
 }
 
 impl Checker {
@@ -809,7 +812,7 @@ impl Checker {
             concept_equalities: Vec::new(),
             same_constraints: Vec::new(),
         };
-        let mut seen: Vec<(ConceptId, Vec<RTy>)> = Vec::new();
+        let mut seen = HashSet::new();
         for c in constraints {
             match c {
                 RConstraint::Model {
@@ -837,15 +840,14 @@ impl Checker {
         cname: Symbol,
         args: &[RTy],
         plan: &mut WherePlan,
-        seen: &mut Vec<(ConceptId, Vec<RTy>)>,
+        seen: &mut HashSet<(ConceptId, Vec<RTy>)>,
     ) {
         if self.charge_plan_node().is_err() {
             return;
         }
-        if seen.iter().any(|(c, a)| *c == cid && a == args) {
+        if !seen.insert((cid, args.to_vec())) {
             return;
         }
-        seen.push((cid, args.to_vec()));
         let info = self.concepts.get(cid).clone();
         let s = self.instantiation_subst(&info, args);
         for &a in &info.assoc_types {
@@ -977,7 +979,7 @@ impl Checker {
         self.budget.ok().map_err(|x| exhausted_err(x, "check", span))?;
         let mut assoc_binders = Vec::with_capacity(plan.assoc_slots.len());
         for slot in &plan.assoc_slots {
-            let fresh = Symbol::fresh(slot.name.as_str());
+            let fresh = self.names.fresh(slot.name);
             self.ty_vars.push((fresh, None));
             assoc_binders.push(fresh);
             let proj = RTy::Assoc {
@@ -998,7 +1000,7 @@ impl Checker {
         let mut dict_names = Vec::with_capacity(plan.dicts.len());
         let mut dict_tys = Vec::with_capacity(plan.dicts.len());
         for dict in &plan.dicts {
-            let name = Symbol::fresh(dict.concept_name.as_str());
+            let name = self.names.fresh(dict.concept_name);
             if register_models {
                 self.register_proxy(dict, name, Vec::new(), span)?;
             }
@@ -1858,6 +1860,7 @@ impl Checker {
         budget: Arc<Budget>,
     ) -> Result<Compiled, CheckError> {
         let mut checker = self.clone();
+        checker.names.reserve(body.names());
         checker.stats = CheckStats::default();
         checker.set_tracer(tracer);
         checker.set_budget(budget);
@@ -2624,7 +2627,7 @@ impl Checker {
         }
         distinct(&decl.params, span)?;
         let parameterized = !decl.params.is_empty();
-        let dict_name = Symbol::fresh(decl.concept.as_str());
+        let dict_name = self.names.fresh(decl.concept);
 
         // Check the declaration inside its own scope: for a parameterized
         // model the parameters are in scope and the declaration's where
@@ -2791,14 +2794,14 @@ impl Checker {
                     // body accordingly.
                     let mut rename: HashMap<Symbol, Symbol> = HashMap::new();
                     for (p, a) in info.params.iter().zip(&args) {
-                        let fresh = Symbol::fresh(p.as_str());
+                        let fresh = self.names.fresh(*p);
                         rename.insert(*p, fresh);
                         self.ty_vars.push((fresh, None));
                         self.teq.ban_representative(fresh);
                         self.teq.assert_eq(&RTy::Var(fresh), a);
                     }
                     for (n, t) in &assoc {
-                        let fresh = Symbol::fresh(n.as_str());
+                        let fresh = self.names.fresh(*n);
                         rename.insert(*n, fresh);
                         self.ty_vars.push((fresh, None));
                         self.teq.ban_representative(fresh);
@@ -2843,7 +2846,7 @@ impl Checker {
                         span,
                     );
                 }
-                let local = Symbol::fresh(m.name.as_str());
+                let local = self.names.fresh(m.name);
                 locals.push((m.name, local));
                 bindings.push((local, term));
             }

@@ -76,6 +76,10 @@ impl PipelineError {
                 resource: Resource::Depth,
                 limit: *limit,
             }),
+            PipelineError::Parse(ParseError::Injected) => Some(Exhausted {
+                resource: Resource::Injected,
+                limit: 0,
+            }),
             PipelineError::Parse(_) => None,
             PipelineError::Check(e) => match e.kind {
                 crate::ErrorKind::ResourceExhausted { exhausted, .. } => Some(exhausted),

@@ -100,10 +100,7 @@ pub fn parse_expr_at(src: &str, base: usize, budget: Arc<Budget>) -> Result<Expr
         match mode {
             telemetry::fault::FaultMode::Error => {
                 budget.trip(Resource::Injected, 0);
-                return Err(ParseError::TooDeep {
-                    span: Span::default(),
-                    limit: 0,
-                });
+                return Err(ParseError::Injected);
             }
             telemetry::fault::FaultMode::Panic => panic!("injected fault panic at parse"),
         }

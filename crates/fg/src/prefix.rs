@@ -22,6 +22,7 @@
 //! every program takes the same path.
 
 use std::cell::{OnceCell, RefCell};
+use std::collections::HashSet;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -134,15 +135,19 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Checks `prefix` for one body, reporting to `tracer` and charging
-    /// `budget`: the snapshot's trace spans and fresh names belong to the
-    /// request that checks that body, exactly as in a whole-program check.
+    /// Checks `prefix`, reporting to `tracer` and charging `budget`. The
+    /// prefix's identifiers and `reserved` — a body's ([`Expr::names`])
+    /// — are never generated as names, so checking that body here binds
+    /// exactly the names a whole-program check binds. A snapshot shared
+    /// by many bodies reserves none and serves each body it does not
+    /// [capture](Snapshot::captures).
     ///
     /// # Errors
     ///
     /// Returns the first [`CheckError`] in the prefix.
     pub fn check(
         prefix: Rc<Prefix>,
+        reserved: impl IntoIterator<Item = Symbol>,
         tracer: Tracer,
         budget: Arc<Budget>,
     ) -> Result<Snapshot, CheckError> {
@@ -150,6 +155,8 @@ impl Snapshot {
         let mut checker = Checker::new();
         checker.set_tracer(tracer);
         checker.set_budget(budget);
+        let names = prefix.expr.names().into_iter().chain(reserved);
+        checker.names.reserve(names);
         let (frames, open) = checker.enter_spine(&prefix.expr)?;
         let hole = (Term::Var(hole_symbol()), Expr::hole(Span::default()));
         let (term, elaborated) = frames
@@ -169,16 +176,12 @@ impl Snapshot {
         })
     }
 
-    /// Checks `prefix` for any number of bodies. Nothing is traced, and
-    /// the fresh names the prefix's translation binds are pinned
-    /// ([`Symbol::pinning`]): they outlive every body, so name recycling
-    /// must never hand one of them to a body.
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::check`].
-    pub fn check_shared(prefix: Rc<Prefix>, budget: Arc<Budget>) -> Result<Snapshot, CheckError> {
-        Symbol::pinning(|| Snapshot::check(prefix, Tracer::disabled(), budget))
+    /// Whether a body spelling `names` would meet a name this snapshot
+    /// generated: checked here, its binder could capture the prefix's, so
+    /// it needs a snapshot of its own that reserves `names`.
+    pub fn captures(&self, names: &HashSet<Symbol>) -> bool {
+        let minted = self.checker.names.minted();
+        minted.iter().any(|n| names.contains(n))
     }
 
     /// The prefix this snapshot checked.

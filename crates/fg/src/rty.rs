@@ -220,23 +220,11 @@ pub fn subst(ty: &RTy, map: &HashMap<Symbol, RTy>) -> RTy {
                 .filter(|(k, _)| !vars.contains(k))
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
-            let mut range_fvs: Vec<Symbol> = Vec::new();
-            for v in inner.values() {
-                for fv in v.free_vars() {
-                    if !range_fvs.contains(&fv) {
-                        range_fvs.push(fv);
-                    }
-                }
-            }
-            let mut new_vars = Vec::with_capacity(vars.len());
-            for &v in vars {
-                if range_fvs.contains(&v) {
-                    let fresh = Symbol::fresh(v.as_str());
-                    inner.insert(v, RTy::Var(fresh));
-                    new_vars.push(fresh);
-                } else {
-                    new_vars.push(v);
-                }
+            let range_fvs: Vec<Symbol> = inner.values().flat_map(RTy::free_vars).collect();
+            let in_scope = |s| ty.free_vars().contains(&s);
+            let new_vars = Symbol::rename_binders(vars, |s| range_fvs.contains(&s), in_scope);
+            for (&v, &n) in vars.iter().zip(&new_vars).filter(|(v, n)| v != n) {
+                inner.insert(v, RTy::Var(n));
             }
             RTy::Forall {
                 vars: new_vars,
@@ -764,30 +752,23 @@ impl Store {
             } => {
                 // The same capture-avoiding discipline as the tree-walking
                 // `subst`: drop shadowed keys, then rename any binder that
-                // collides with a free variable of the (restricted) range.
+                // collides with a free variable of the (restricted) range
+                // to the name the tree walk picks.
                 let mut inner: Vec<(Symbol, TyId)> = self.substs[sid.0 as usize]
                     .iter()
                     .filter(|(k, _)| !vars.contains(k))
                     .copied()
                     .collect();
-                let mut range_fvs: Vec<Symbol> = Vec::new();
-                for &(_, v) in &inner {
-                    for fv in self.meta[v.index()].free_vars.iter() {
-                        if !range_fvs.contains(fv) {
-                            range_fvs.push(*fv);
-                        }
-                    }
-                }
-                let mut new_vars = Vec::with_capacity(vars.len());
-                for &v in vars.iter() {
-                    if range_fvs.contains(&v) {
-                        let fresh = Symbol::fresh(v.as_str());
-                        let fresh_id = self.mk(TyNode::Var(fresh));
-                        inner.push((v, fresh_id));
-                        new_vars.push(fresh);
-                    } else {
-                        new_vars.push(v);
-                    }
+                let meta = &self.meta;
+                let range_fvs: Vec<Symbol> = inner
+                    .iter()
+                    .flat_map(|&(_, v)| meta[v.index()].free_vars.iter().copied())
+                    .collect();
+                let in_scope = |s| self.meta[id.index()].free_vars.contains(&s);
+                let new_vars = Symbol::rename_binders(&vars, |s| range_fvs.contains(&s), in_scope);
+                for (&v, &n) in vars.iter().zip(&new_vars).filter(|(v, n)| v != n) {
+                    let var = self.mk(TyNode::Var(n));
+                    inner.push((v, var));
                 }
                 let inner_sid = self.subst_id(&inner);
                 let cs: Box<[CtId]> = constraints
@@ -937,7 +918,8 @@ impl TyInterner {
 
     /// Capture-avoiding substitution over handles, memoized per
     /// `(TyId, SubstId)` pair. Agrees with the tree-walking [`subst`] up
-    /// to alpha-renaming of `Forall` binders (fresh names differ).
+    /// to alpha-renaming: a node the map does not touch is returned as
+    /// is, where the tree walk may still rename a binder inside it.
     pub fn subst(&self, id: TyId, sid: SubstId) -> TyId {
         self.0.borrow_mut().subst(id, sid)
     }
@@ -1341,8 +1323,8 @@ mod tests {
         map.insert(s("t"), RTy::func(vec![RTy::Int], v("u")));
         assert_eq!(it.subst_rty(&t, &map), subst(&t, &map));
 
-        // The capturing case renames the binder (fresh names differ from
-        // the tree walk's, so compare shapes, not symbols).
+        // The capturing case renames the binder to the first free `a_k`,
+        // as the tree walk does.
         let t = RTy::Forall {
             vars: vec![s("a")],
             constraints: vec![],
@@ -1351,10 +1333,11 @@ mod tests {
         let mut map = HashMap::new();
         map.insert(s("b"), v("a"));
         let r = it.subst_rty(&t, &map);
+        assert_eq!(r, subst(&t, &map));
         let RTy::Forall { vars, body, .. } = &r else {
             unreachable!("subst must keep the forall shape, got {r:?}");
         };
-        assert_ne!(vars[0], s("a"), "binder should have been renamed");
+        assert_eq!(vars[0], s("a_0"), "binder should have been renamed");
         let RTy::Fn(ps, ret) = &**body else {
             unreachable!("body must stay a function type, got {body:?}");
         };

@@ -21,7 +21,7 @@ fn on_worker<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
 
 fn shared_prelude() -> Snapshot {
     let prefix = Rc::new(prelude_prefix(Arc::default()).expect("prelude parses"));
-    Snapshot::check_shared(prefix, Arc::default()).expect("prelude checks")
+    Snapshot::check(prefix, [], Tracer::disabled(), Arc::default()).expect("prelude checks")
 }
 
 #[test]

@@ -129,9 +129,9 @@ proptest! {
 
     /// Substitution through the interner (`SubstId` + cache) produces
     /// the same tree the tree-walking `subst` builds, up to
-    /// alpha-renaming — both freshen binders that would capture a free
-    /// variable of the range, but `Symbol::fresh` yields different
-    /// names on each call.
+    /// alpha-renaming: the interner leaves a node none of whose free
+    /// variables the map touches as it is, where the tree walk may still
+    /// rename a binder inside it.
     #[test]
     fn interned_subst_agrees_with_tree_subst(
         a in rty_strategy(),

@@ -59,5 +59,5 @@ pub use eval::{
     apply, eval, eval_budgeted, eval_in, eval_lets, Env, EvalError, VList, VListIter, Value,
 };
 pub use parser::{parse_term, parse_ty, ParseError};
-pub use symbol::Symbol;
+pub use symbol::{NameSupply, Symbol};
 pub use typeck::{typecheck, typecheck_in, typecheck_open, Ctx, TypeError};

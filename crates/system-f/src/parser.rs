@@ -54,6 +54,8 @@ pub enum ParseError {
         /// The limit that was in force.
         limit: u64,
     },
+    /// An armed fault plan failed the parse (see `telemetry::fault`).
+    Injected,
 }
 
 impl fmt::Display for ParseError {
@@ -77,6 +79,7 @@ impl fmt::Display for ParseError {
                 "nesting deeper than {limit} at byte {}: depth budget exhausted",
                 span.start
             ),
+            ParseError::Injected => write!(f, "injected fault"),
         }
     }
 }

@@ -13,9 +13,9 @@
 //! The big-step evaluator in [`crate::eval`] is the fast path; this one is
 //! the specification. A differential property test asserts they agree.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use crate::types::subst as subst_ty_map;
+use crate::types::{free_ty_vars, free_ty_vars_into, subst as subst_ty_map};
 use crate::{Prim, Symbol, Term, Ty};
 
 /// Returns `true` if `t` is a value: literals, primitives, abstractions,
@@ -122,13 +122,14 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
                 return t.clone();
             }
             // Rename any parameter that would capture a free variable of v.
+            let names: Vec<Symbol> = params.iter().map(|p| p.0).collect();
             let mut params = params.clone();
             let mut body = (**body).clone();
-            for (y, _) in params.iter_mut().map(|p| (&mut p.0, ())) {
-                if v_fvs.contains(y) {
-                    let fresh = Symbol::fresh(y.as_str());
-                    body = subst_term(&body, *y, &Term::Var(fresh));
-                    *y = fresh;
+            let renamed = rename_binders(&names, x, v_fvs, &body);
+            for (p, fresh) in params.iter_mut().zip(renamed) {
+                if p.0 != fresh {
+                    body = subst_term(&body, p.0, &Term::Var(fresh));
+                    p.0 = fresh;
                 }
             }
             Term::Lam(params, Box::new(go(&body, x, v, v_fvs)))
@@ -140,7 +141,7 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
             if *y == x {
                 Term::Let(*y, Box::new(e1), e2.clone())
             } else if v_fvs.contains(y) {
-                let fresh = Symbol::fresh(y.as_str());
+                let fresh = rename_binders(&[*y], x, v_fvs, e2)[0];
                 let e2r = subst_term(e2, *y, &Term::Var(fresh));
                 Term::Let(fresh, Box::new(e1), Box::new(go(&e2r, x, v, v_fvs)))
             } else {
@@ -160,13 +161,54 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
             if *y == x {
                 t.clone()
             } else if v_fvs.contains(y) {
-                let fresh = Symbol::fresh(y.as_str());
+                let fresh = rename_binders(&[*y], x, v_fvs, body)[0];
                 let bodyr = subst_term(body, *y, &Term::Var(fresh));
                 Term::Fix(fresh, ty.clone(), Box::new(go(&bodyr, x, v, v_fvs)))
             } else {
                 Term::Fix(*y, ty.clone(), Box::new(go(body, x, v, v_fvs)))
             }
         }
+    }
+}
+
+/// The `binders` of `scope` renamed for `[x ↦ v]` to go under them
+/// ([`Symbol::rename_binders`]); none is renamed to `x`.
+fn rename_binders(binders: &[Symbol], x: Symbol, v_fvs: &[Symbol], scope: &Term) -> Vec<Symbol> {
+    let in_scope = |s| s == x || free_vars(scope).contains(&s);
+    Symbol::rename_binders(binders, |s| v_fvs.contains(&s), in_scope)
+}
+
+/// The free type variables of the types annotating `t`.
+fn free_ty_vars_in_term(t: &Term) -> HashSet<Symbol> {
+    let mut out = HashSet::new();
+    free_ty_vars_in_term_into(t, &mut Vec::new(), &mut out);
+    out
+}
+
+fn free_ty_vars_in_term_into(t: &Term, bound: &mut Vec<Symbol>, out: &mut HashSet<Symbol>) {
+    let (tys, terms): (Vec<&Ty>, Vec<&Term>) = match t {
+        Term::Var(_) | Term::IntLit(_) | Term::BoolLit(_) | Term::Prim(_) => return,
+        Term::App(f, args) => (Vec::new(), std::iter::once(&**f).chain(args).collect()),
+        Term::Lam(params, body) => (params.iter().map(|(_, ty)| ty).collect(), vec![body]),
+        Term::TyAbs(vars, body) => {
+            let n = bound.len();
+            bound.extend_from_slice(vars);
+            free_ty_vars_in_term_into(body, bound, out);
+            bound.truncate(n);
+            return;
+        }
+        Term::TyApp(f, tys) => (tys.iter().collect(), vec![f]),
+        Term::Let(_, a, b) => (Vec::new(), vec![a, b]),
+        Term::Tuple(items) => (Vec::new(), items.iter().collect()),
+        Term::Nth(e, _) => (Vec::new(), vec![e]),
+        Term::If(c, a, b) => (Vec::new(), vec![c, a, b]),
+        Term::Fix(_, ty, body) => (vec![ty], vec![body]),
+    };
+    for ty in tys {
+        free_ty_vars_into(ty, bound, out);
+    }
+    for t in terms {
+        free_ty_vars_in_term_into(t, bound, out);
     }
 }
 
@@ -197,23 +239,11 @@ pub fn subst_ty_in_term(t: &Term, map: &HashMap<Symbol, Ty>) -> Term {
                 .filter(|(k, _)| !vars.contains(k))
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
-            let mut range_fvs = Vec::new();
-            for ty in inner.values() {
-                for fv in crate::types::free_ty_vars(ty) {
-                    if !range_fvs.contains(&fv) {
-                        range_fvs.push(fv);
-                    }
-                }
-            }
-            let mut new_vars = Vec::with_capacity(vars.len());
-            for &v in vars {
-                if range_fvs.contains(&v) {
-                    let fresh = Symbol::fresh(v.as_str());
-                    inner.insert(v, Ty::Var(fresh));
-                    new_vars.push(fresh);
-                } else {
-                    new_vars.push(v);
-                }
+            let range_fvs: HashSet<Symbol> = inner.values().flat_map(free_ty_vars).collect();
+            let in_body = |s| free_ty_vars_in_term(body).contains(&s);
+            let new_vars = Symbol::rename_binders(vars, |s| range_fvs.contains(&s), in_body);
+            for (&v, &n) in vars.iter().zip(&new_vars).filter(|(v, n)| v != n) {
+                inner.insert(v, Ty::Var(n));
             }
             Term::TyAbs(new_vars, Box::new(subst_ty_in_term(body, &inner)))
         }

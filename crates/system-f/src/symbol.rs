@@ -4,13 +4,20 @@
 //! concept names, member names) constantly; interning makes them `Copy`,
 //! O(1)-comparable, and cheap to hash. The interner is a process-global
 //! table — interned strings are leaked, so `as_str` can hand out
-//! `&'static str` without lifetime plumbing. A language-implementation
-//! process interns a bounded set of names, so the leak is bounded too.
+//! `&'static str` without lifetime plumbing.
+//!
+//! The table holds the names programs spell and the names compiling them
+//! generates: a [`NameSupply`]'s `base_N` (dictionaries, associated-type
+//! binders, hygiene renames, member locals) and the `v_k` a
+//! capture-avoiding substitution renames a binder to
+//! ([`Symbol::rename_binders`]). Each generated name is a function of the
+//! program alone — its counter belongs to one compilation, and a renaming
+//! depends only on the terms involved — so compiling a program again
+//! interns nothing new, and the table grows with the distinct names seen,
+//! not with the number of compilations.
 
-use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// An interned string.
@@ -31,25 +38,7 @@ pub struct Symbol(u32);
 struct Interner {
     by_name: HashMap<&'static str, Symbol>,
     names: Vec<&'static str>,
-    /// Symbols created by [`Symbol::fresh`], recycled once the pool is
-    /// full so long-running processes (benchmark loops, REPLs) do not grow
-    /// the interner without bound.
-    recycled: Vec<Symbol>,
-    /// Fresh symbols recycling must skip: names that outlive the
-    /// compilation that created them (see [`Symbol::pinning`]).
-    pinned: HashSet<Symbol>,
 }
-
-thread_local! {
-    /// Set while [`Symbol::pinning`] runs on this thread.
-    static PINNING: Cell<bool> = const { Cell::new(false) };
-}
-
-/// How many distinct `fresh` symbols are created before recycling begins.
-/// A single compilation never comes close, so uniqueness-within-a-program
-/// is preserved; across independent compilations reuse is harmless (every
-/// generated name is bound locally in its own output).
-const FRESH_POOL: usize = 1 << 20;
 
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
@@ -57,8 +46,6 @@ fn interner() -> &'static Mutex<Interner> {
         Mutex::new(Interner {
             by_name: HashMap::new(),
             names: Vec::new(),
-            recycled: Vec::new(),
-            pinned: HashSet::new(),
         })
     })
 }
@@ -77,58 +64,35 @@ impl Symbol {
         sym
     }
 
-    /// Creates a fresh symbol guaranteed distinct from every symbol interned
-    /// so far, with a `base_NN` display name. Used for dictionary names in
-    /// the F_G → System F translation (the paper writes `Monoid_67`) and for
-    /// capture-avoiding renaming.
-    pub fn fresh(base: &str) -> Symbol {
-        static COUNTER: AtomicU32 = AtomicU32::new(0);
-        let pin = PINNING.with(Cell::get);
-        loop {
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            let mut int = interner().lock().expect("interner poisoned");
-            // Once the pool is full, recycle earlier fresh symbols instead
-            // of growing the interner forever — all but the pinned ones.
-            if int.recycled.len() >= FRESH_POOL && int.pinned.len() < FRESH_POOL {
-                let sym = int.recycled[n as usize % FRESH_POOL];
-                if int.pinned.contains(&sym) {
-                    continue;
-                }
-                if pin {
-                    int.pinned.insert(sym);
-                }
-                return sym;
-            }
-            let candidate = format!("{base}_{n}");
-            if int.by_name.contains_key(candidate.as_str()) {
-                continue;
-            }
-            let leaked: &'static str = Box::leak(candidate.into_boxed_str());
-            let sym = Symbol(u32::try_from(int.names.len()).expect("interner overflow"));
-            int.names.push(leaked);
-            int.by_name.insert(leaked, sym);
-            int.recycled.push(sym);
-            if pin {
-                int.pinned.insert(sym);
-            }
-            return sym;
-        }
+    /// `self_k`: this name with a numeric suffix.
+    fn numbered(self, k: u32) -> Symbol {
+        Symbol::intern(&format!("{}_{k}", self.as_str()))
     }
 
-    /// Runs `f`, pinning every fresh symbol it creates on this thread:
-    /// recycling never hands a pinned symbol out again. Recycling is safe
-    /// for names bound inside the one compilation that made them; names
-    /// that outlive it — a checked prefix shared by many program bodies —
-    /// must be pinned, or a later body could be given one of them.
-    pub fn pinning<R>(f: impl FnOnce() -> R) -> R {
-        struct Restore(bool);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                PINNING.with(|p| p.set(self.0));
-            }
+    /// The binders `vars` that a capture-avoiding substitution goes
+    /// under, renamed where they would capture: each `v` for which
+    /// `captures` holds (it is free in the substitution's range) becomes
+    /// the first `v_k` (k = 0, 1, …) that is neither free in the range
+    /// nor in `scope` (free in the binders' body) nor another binder.
+    pub fn rename_binders(
+        vars: &[Symbol],
+        captures: impl Fn(Symbol) -> bool,
+        scope: impl Fn(Symbol) -> bool,
+    ) -> Vec<Symbol> {
+        let mut out: Vec<Symbol> = Vec::with_capacity(vars.len());
+        for &v in vars {
+            let taken = |s| captures(s) || scope(s) || vars.contains(&s) || out.contains(&s);
+            let name = if captures(v) {
+                (0..)
+                    .map(|k| v.numbered(k))
+                    .find(|&s| !taken(s))
+                    .expect("a finite scope leaves a name free")
+            } else {
+                v
+            };
+            out.push(name);
         }
-        let _restore = Restore(PINNING.with(|p| p.replace(true)));
-        f()
+        out
     }
 
     /// The interned string.
@@ -139,6 +103,43 @@ impl Symbol {
     /// The raw interner index, usable as a dense table key.
     pub fn index(self) -> u32 {
         self.0
+    }
+}
+
+/// The names one compilation generates for what it binds — the paper
+/// writes a dictionary as `Monoid_67`. Each is `base_N` for the next `N`
+/// of a counter the supply owns, skipping any name reserved for the
+/// program's own identifiers, so generated names never meet a user's.
+/// A clone continues from the same count.
+#[derive(Debug, Clone, Default)]
+pub struct NameSupply {
+    reserved: HashSet<Symbol>,
+    next: u32,
+    minted: Vec<Symbol>,
+}
+
+impl NameSupply {
+    /// Reserves `names`: the supply never generates one of them.
+    pub fn reserve(&mut self, names: impl IntoIterator<Item = Symbol>) {
+        self.reserved.extend(names);
+    }
+
+    /// `base_N`: a name distinct from every name this supply generated
+    /// before and from every reserved one.
+    pub fn fresh(&mut self, base: Symbol) -> Symbol {
+        loop {
+            let name = base.numbered(self.next);
+            self.next += 1;
+            if !self.reserved.contains(&name) {
+                self.minted.push(name);
+                return name;
+            }
+        }
+    }
+
+    /// The names generated so far, oldest first.
+    pub fn minted(&self) -> &[Symbol] {
+        &self.minted
     }
 }
 
@@ -177,25 +178,54 @@ mod tests {
     }
 
     #[test]
-    fn fresh_symbols_are_distinct() {
-        let a = Symbol::fresh("dict");
-        let b = Symbol::fresh("dict");
-        assert_ne!(a, b);
-        assert!(a.as_str().starts_with("dict_"));
+    fn generated_names_are_distinct_within_a_compilation() {
+        let (a, b) = (Symbol::intern("dict"), Symbol::intern("Monoid"));
+        let mut names = NameSupply::default();
+        let got = [names.fresh(a), names.fresh(b), names.fresh(a)];
+        assert_eq!(got.map(Symbol::as_str), ["dict_0", "Monoid_1", "dict_2"]);
+        assert_eq!(names.minted(), got);
     }
 
     #[test]
-    fn fresh_avoids_existing_names() {
-        // Pre-intern a name fresh() might generate; fresh must skip it.
-        let a = Symbol::fresh("clash");
-        let next_guess = {
-            // Intern several upcoming candidates to force skipping.
-            let n: u32 = a.as_str()["clash_".len()..].parse().unwrap();
-            Symbol::intern(&format!("clash_{}", n + 1))
+    fn generated_names_skip_reserved_identifiers() {
+        let base = Symbol::intern("clash");
+        let mut names = NameSupply::default();
+        names.reserve(["clash_0", "clash_1", "clash_3"].map(Symbol::intern));
+        assert_eq!(names.fresh(base).as_str(), "clash_2");
+        assert_eq!(names.fresh(base).as_str(), "clash_4");
+    }
+
+    #[test]
+    fn generated_names_repeat_across_compilations() {
+        let compile = || {
+            let mut names = NameSupply::default();
+            names.reserve([Symbol::intern("Monoid_0")]);
+            let base = Symbol::intern("Monoid");
+            [names.fresh(base), names.fresh(base)]
         };
-        let b = Symbol::fresh("clash");
-        assert_ne!(b, next_guess);
-        assert_ne!(a, b);
+        let first = compile();
+        // Names interned in between change nothing.
+        Symbol::intern("Monoid_3");
+        assert_eq!(compile(), first);
+        // A clone continues from its original's count.
+        let mut names = NameSupply::default();
+        names.fresh(Symbol::intern("x"));
+        let mut copy = names.clone();
+        assert_eq!(
+            copy.fresh(Symbol::intern("y")),
+            names.fresh(Symbol::intern("y"))
+        );
+    }
+
+    #[test]
+    fn capturing_binders_take_the_first_free_suffix() {
+        let [t, u, t_0, t_1] = ["t", "u", "t_0", "t_1"].map(Symbol::intern);
+        // `t_0` is another binder and `t_1` is free in the body.
+        let renamed = Symbol::rename_binders(&[t, u, t_0], |s| s == t || s == u, |s| s == t_1);
+        let names: Vec<&str> = renamed.into_iter().map(Symbol::as_str).collect();
+        assert_eq!(names, ["t_2", "u_0", "t_0"]);
+        // Nothing captured, nothing renamed.
+        assert_eq!(Symbol::rename_binders(&[t], |_| false, |_| true), [t]);
     }
 
     #[test]

@@ -43,9 +43,8 @@ pub fn free_ty_vars(ty: &Ty) -> HashSet<Symbol> {
 
 /// Simultaneous capture-avoiding substitution `[t̄ ↦ σ̄]τ`.
 ///
-/// Binders in `forall` are renamed with fresh symbols whenever they would
-/// capture a free variable of the substituted types or collide with a
-/// substitution domain variable.
+/// A `forall` binder that would capture a free variable of the
+/// substituted types is renamed ([`Symbol::rename_binders`]).
 pub fn subst(ty: &Ty, map: &HashMap<Symbol, Ty>) -> Ty {
     if map.is_empty() {
         return ty.clone();
@@ -66,19 +65,11 @@ pub fn subst(ty: &Ty, map: &HashMap<Symbol, Ty>) -> Ty {
                 .filter(|(k, _)| !vars.contains(k))
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
-            let mut range_fvs: HashSet<Symbol> = HashSet::new();
-            for v in inner.values() {
-                range_fvs.extend(free_ty_vars(v));
-            }
-            let mut new_vars = Vec::with_capacity(vars.len());
-            for &v in vars {
-                if range_fvs.contains(&v) {
-                    let fresh = Symbol::fresh(v.as_str());
-                    inner.insert(v, Ty::Var(fresh));
-                    new_vars.push(fresh);
-                } else {
-                    new_vars.push(v);
-                }
+            let range_fvs: HashSet<Symbol> = inner.values().flat_map(free_ty_vars).collect();
+            let in_body = |s| free_ty_vars(body).contains(&s);
+            let new_vars = Symbol::rename_binders(vars, |s| range_fvs.contains(&s), in_body);
+            for (&v, &n) in vars.iter().zip(&new_vars).filter(|(v, n)| v != n) {
+                inner.insert(v, Ty::Var(n));
             }
             Ty::Forall(new_vars, Box::new(subst(body, &inner)))
         }
@@ -186,6 +177,20 @@ mod tests {
         // It should be alpha-equal to forall c. fn(c) -> a.
         let good = Ty::forall(vec![s("c")], Ty::func(vec![v("c")], v("a")));
         assert!(alpha_eq(&r, &good));
+    }
+
+    #[test]
+    fn capturing_binder_takes_the_first_name_free_in_range_and_body() {
+        // [b ↦ a](forall a. fn(a, a_0) -> b): `a_0` is free in the body.
+        let t = Ty::forall(vec![s("a")], Ty::func(vec![v("a"), v("a_0")], v("b")));
+        let r = subst_one(&t, s("b"), &v("a"));
+        let want = Ty::forall(vec![s("a_1")], Ty::func(vec![v("a_1"), v("a_0")], v("a")));
+        assert_eq!(r, want);
+        assert_eq!(
+            subst_one(&t, s("b"), &v("a")),
+            r,
+            "the same inputs, the same name"
+        );
     }
 
     #[test]
