@@ -115,7 +115,8 @@ PYEOF
 
     # Serve smoke: boot the daemon on an ephemeral port, check a file
     # twice over fg-rpc/1 (the repeat must be a recorded cache hit),
-    # confirm the hit in `stats`, and shut down cleanly (exit 0).
+    # confirm the hit in `stats`, and shut down cleanly (exit 0), all
+    # while another client holds an idle connection.
     "$FG" serve --addr 127.0.0.1:0 > "$CI_TMP/serve.out" 2> "$CI_TMP/serve.err" &
     serve_pid=$!
     trap 'kill "$serve_pid" 2> /dev/null || true' EXIT
@@ -125,7 +126,25 @@ PYEOF
         [ "$tries" -le 50 ] || { echo "FAIL: serve did not announce an address"; exit 1; }
         sleep 0.1
     done
-    "$FG" rpc --addr "$addr" check examples/fig5_accumulate.fg > "$CI_TMP/rpc1.json"
+    # One idle client must not wedge the daemon: hold a connection open
+    # and silent while every request below is served, through shutdown.
+    python3 -c '
+import socket, sys, time
+host, port = sys.argv[1].rsplit(":", 1)
+conn = socket.create_connection((host, int(port)))
+open(sys.argv[2], "w").close()
+time.sleep(120)
+' "$addr" "$CI_TMP/idle.up" &
+    idle_pid=$!
+    trap 'kill "$serve_pid" "$idle_pid" 2> /dev/null || true' EXIT
+    tries=0
+    until [ -e "$CI_TMP/idle.up" ]; do
+        tries=$((tries + 1))
+        [ "$tries" -le 50 ] || { echo "FAIL: the idle client did not connect"; exit 1; }
+        sleep 0.1
+    done
+    timeout 10 "$FG" rpc --addr "$addr" check examples/fig5_accumulate.fg > "$CI_TMP/rpc1.json" \
+        || { echo "FAIL: no check reply while a client idles"; exit 1; }
     "$FG" rpc --addr "$addr" check examples/fig5_accumulate.fg > "$CI_TMP/rpc2.json"
     "$FG" rpc --addr "$addr" stats > "$CI_TMP/rpc-stats.json"
     python3 - "$CI_TMP/rpc1.json" "$CI_TMP/rpc2.json" "$CI_TMP/rpc-stats.json" <<'PYEOF'
@@ -138,6 +157,8 @@ assert first["cached"] is False, first
 assert second["cached"] is True, "repeat request must hit the compile cache"
 pool = json.loads(stats["output"])["counters"]["pool"]
 assert pool["cache_hits"] >= 1, pool
+serve = json.loads(stats["output"])["counters"]["serve"]
+assert serve["connections_peak"] >= 2 and serve["connections_timed_out"] == 0, serve
 PYEOF
     # Prelude bodies through the daemon: each worker checks the prelude
     # once and every later body runs against that snapshot, so each reply
@@ -165,9 +186,12 @@ PYEOF
     "$FG" --jobs 2 translate examples/*.fg > "$CI_TMP/translate-batch.out"
     cmp -s "$CI_TMP/translate-one.out" "$CI_TMP/translate-batch.out" \
         || { echo "FAIL: --jobs 2 translate differs from one-shot runs"; exit 1; }
-    "$FG" rpc --addr "$addr" shutdown > /dev/null
+    timeout 10 "$FG" rpc --addr "$addr" shutdown > /dev/null \
+        || { echo "FAIL: no shutdown reply while a client idles"; exit 1; }
     code=0
     wait "$serve_pid" || code=$?
+    kill "$idle_pid" 2> /dev/null || true
+    wait "$idle_pid" 2> /dev/null || true
     trap - EXIT
     [ "$code" -eq 0 ] || { echo "FAIL: serve shutdown exited $code (want 0)"; exit 1; }
 }

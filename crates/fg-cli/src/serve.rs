@@ -34,14 +34,46 @@
 //! Finished pipeline outcomes are memoized in a content-hash
 //! [`fg::pool::CompileCache`]; a repeated identical request is a
 //! recorded `pool.cache_hits` hit that replays the buffered outcome
-//! without re-checking. Connections are accepted sequentially — the
-//! parallelism is per-batch inside the pool, and the intended client is
-//! a build driver holding one connection.
+//! without re-checking.
+//!
+//! # Connections
+//!
+//! Connections are served concurrently by a fixed set of handler
+//! threads, [`HANDLERS_PER_WORKER`] per pool worker and never fewer
+//! than [`MIN_HANDLERS`]. Each handler calls `accept` on the shared
+//! listener itself and serves that connection to its end; no thread is
+//! spawned per connection. Handlers do only socket I/O and JSON on
+//! default-sized stacks: every pipeline run goes to the pool's workers,
+//! so the per-worker prelude snapshot and allocator memory stay bounded
+//! by `--jobs`. Scoped models make requests shared-nothing, so
+//! concurrent requests cannot change one another's output.
+//!
+//! Three limits keep one client from holding a handler for long:
+//!
+//! - A request line must arrive whole within [`READ_TIMEOUT`] of the
+//!   moment the handler starts waiting for it. A connection that stays
+//!   silent (or trickles bytes) that long is closed without a reply.
+//! - A reply that the client does not read within [`WRITE_TIMEOUT`]
+//!   closes the connection.
+//! - A request line longer than [`MAX_REQUEST_BYTES`] gets an `ok:false`
+//!   error reply, and the connection is closed.
+//!
+//! While every handler holds a connection, new connections wait in the
+//! listen backlog; the read timeout bounds that wait. `shutdown` is
+//! answered (written and flushed) by the handler that receives it, which
+//! then wakes `serve_main`; the process exits at once with code 0,
+//! without waiting for handlers blocked in `accept` or on idle clients.
+//!
+//! `stats` adds the `serve` counter group: connections accepted, peak
+//! concurrent connections, connections closed by the read timeout, and
+//! requests rejected for size.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use telemetry::json::{self, Json};
 use telemetry::trace::Tracer;
@@ -52,13 +84,89 @@ use crate::{CachedRun, Flags, EXIT_CRASH, EXIT_DIAGNOSTIC, PIPELINE_METHODS};
 /// Compile-cache bound for the daemon (epoch-flushed when exceeded).
 const CACHE_CAPACITY: usize = 4096;
 
-/// Shared daemon state: the pool, the cache, and the server's limits.
+/// Connection-handler threads per pool worker: enough that every worker
+/// has a request to run while other handlers read or write sockets.
+const HANDLERS_PER_WORKER: usize = 2;
+
+/// The fewest handler threads, so that a couple of silent clients on a
+/// one-worker daemon still leave a handler free.
+const MIN_HANDLERS: usize = 4;
+
+/// How long a connection may take to deliver one whole request line,
+/// counted from when the handler starts waiting for it.
+const READ_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long one reply write may block on a client that does not read.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// The longest request line accepted, in bytes (without its newline).
+const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// The per-connection limits, gathered so tests can shorten them.
+#[derive(Clone, Copy)]
+struct ConnLimits {
+    read_timeout: Duration,
+    write_timeout: Duration,
+    max_request_bytes: usize,
+}
+
+/// The limits `fg serve` runs under.
+const CONN_LIMITS: ConnLimits = ConnLimits {
+    read_timeout: READ_TIMEOUT,
+    write_timeout: WRITE_TIMEOUT,
+    max_request_bytes: MAX_REQUEST_BYTES,
+};
+
+/// Shared daemon state: the pool, the cache, the server's limits and
+/// the connection counters.
 struct Daemon {
     pool: fg::pool::WorkerPool,
     cache: Arc<fg::pool::CompileCache<CachedRun>>,
     limits: telemetry::limits::Limits,
     limits_key: String,
     default_prelude: bool,
+    conn: ConnLimits,
+    counters: ConnCounters,
+}
+
+/// The `serve` counter group reported by `stats`.
+#[derive(Default)]
+struct ConnCounters {
+    accepted: AtomicU64,
+    open: AtomicU64,
+    peak: AtomicU64,
+    timed_out: AtomicU64,
+    oversized: AtomicU64,
+}
+
+impl ConnCounters {
+    /// Counts a newly accepted connection as open until the guard drops.
+    fn open(&self) -> OpenConn<'_> {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        let now = self.open.fetch_add(1, Ordering::Relaxed) + 1;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+        OpenConn(self)
+    }
+
+    fn record(&self, metrics: &mut Metrics) {
+        for (key, counter) in [
+            ("connections_accepted", &self.accepted),
+            ("connections_peak", &self.peak),
+            ("connections_timed_out", &self.timed_out),
+            ("requests_oversized", &self.oversized),
+        ] {
+            metrics.set_counter("serve", key, counter.load(Ordering::Relaxed));
+        }
+    }
+}
+
+/// An open connection, counted in [`ConnCounters::open`].
+struct OpenConn<'a>(&'a ConnCounters);
+
+impl Drop for OpenConn<'_> {
+    fn drop(&mut self) {
+        self.0.open.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// `fg serve --addr <host:port>`: binds, prints the bound address (so
@@ -80,65 +188,126 @@ pub fn serve_main(flags: &Flags, args: &[String]) -> u8 {
         Ok(a) => a.to_string(),
         Err(_) => addr.clone(),
     };
-    let pool = match fg::pool::WorkerPool::new(flags.jobs_resolved()) {
-        Ok(p) => p,
+    let daemon = match Daemon::new(flags, CONN_LIMITS) {
+        Ok(d) => Arc::new(d),
         Err(e) => {
             crate::print_err(&format!("fg: serve: cannot spawn worker pool: {e}\n"));
             return EXIT_CRASH;
         }
     };
-    let limits = flags.limits();
-    let daemon = Daemon {
-        pool,
-        cache: Arc::new(fg::pool::CompileCache::new(CACHE_CAPACITY)),
-        limits,
-        limits_key: format!("{limits:?}"),
-        default_prelude: flags.use_prelude,
-    };
+    let handlers = (HANDLERS_PER_WORKER * daemon.pool.jobs()).max(MIN_HANDLERS);
     // The bound address is the daemon's one startup line: clients (and
     // the CI smoke test) read it to discover a port-0 allocation.
     crate::print_out(&format!("fg: serving fg-rpc/1 on {local}\n"));
-
-    for stream in listener.incoming() {
-        match stream {
-            Ok(stream) => match handle_connection(stream, &daemon) {
-                ConnOutcome::KeepServing => {}
-                ConnOutcome::Shutdown => return 0,
-            },
-            Err(e) => {
-                crate::print_err(&format!("fg: serve: accept failed: {e}\n"));
-            }
+    match serve(listener, &daemon, handlers) {
+        Ok(()) => 0,
+        Err(e) => {
+            crate::print_err(&format!("fg: serve: {e}\n"));
+            EXIT_CRASH
         }
     }
-    0
 }
 
-/// What a finished connection tells the accept loop.
+impl Daemon {
+    fn new(flags: &Flags, conn: ConnLimits) -> io::Result<Daemon> {
+        let limits = flags.limits();
+        Ok(Daemon {
+            pool: fg::pool::WorkerPool::new(flags.jobs_resolved())?,
+            cache: Arc::new(fg::pool::CompileCache::new(CACHE_CAPACITY)),
+            limits,
+            limits_key: format!("{limits:?}"),
+            default_prelude: flags.use_prelude,
+            conn,
+            counters: ConnCounters::default(),
+        })
+    }
+}
+
+/// Starts `handlers` threads that accept and serve connections on
+/// `listener`, and returns once one of them has answered `shutdown`.
+/// The handlers are never joined: they may be blocked in `accept` or on
+/// an idle client, and the process exits when `serve_main` returns.
+fn serve(listener: TcpListener, daemon: &Arc<Daemon>, handlers: usize) -> io::Result<()> {
+    let listener = Arc::new(listener);
+    let (shutdown, requested) = mpsc::channel();
+    for id in 0..handlers {
+        let (listener, daemon, shutdown) =
+            (Arc::clone(&listener), Arc::clone(daemon), shutdown.clone());
+        std::thread::Builder::new()
+            .name(format!("fg-serve-{id}"))
+            .spawn(move || accept_loop(&listener, &daemon, &shutdown))
+            .map_err(|e| io::Error::other(format!("cannot spawn connection handler: {e}")))?;
+    }
+    drop(shutdown);
+    // Every handler holds a sender, so this fails only if all of them
+    // are gone without a shutdown.
+    requested
+        .recv()
+        .map_err(|_| io::Error::other("every connection handler exited"))
+}
+
+/// One handler thread: accept a connection, serve it to its end, repeat
+/// until a connection asks for `shutdown`.
+fn accept_loop(listener: &TcpListener, daemon: &Daemon, shutdown: &mpsc::Sender<()>) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if let ConnOutcome::Shutdown = handle_connection(stream, daemon) {
+                    let _ = shutdown.send(());
+                    return;
+                }
+            }
+            Err(e) => crate::print_err(&format!("fg: serve: accept failed: {e}\n")),
+        }
+    }
+}
+
+/// What a finished connection tells its handler.
 enum ConnOutcome {
     KeepServing,
     Shutdown,
 }
 
 /// Serves one connection: request per line, response per line, until
-/// EOF or a `shutdown` request.
+/// EOF, a read timeout, an oversized request or a `shutdown` request.
 fn handle_connection(stream: TcpStream, daemon: &Daemon) -> ConnOutcome {
-    let reader = match stream.try_clone() {
-        Ok(s) => BufReader::new(s),
+    let _open = daemon.counters.open();
+    let conn = daemon.conn;
+    let reader = match stream
+        .set_write_timeout(Some(conn.write_timeout))
+        .and_then(|()| stream.try_clone())
+    {
+        Ok(s) => s,
         Err(e) => {
-            crate::print_err(&format!("fg: serve: cannot clone connection: {e}\n"));
+            crate::print_err(&format!("fg: serve: cannot set up connection: {e}\n"));
             return ConnOutcome::KeepServing;
         }
     };
+    let mut reader = BufReader::new(reader);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => return ConnOutcome::KeepServing,
+    let mut line = Vec::new();
+    loop {
+        let (response, shutdown) = match read_request(&mut reader, &mut line, &conn) {
+            Incoming::Line => match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => handle_request(text, daemon),
+                Err(_) => (error_response(0, "bad request: not UTF-8"), false),
+            },
+            Incoming::Closed => return ConnOutcome::KeepServing,
+            Incoming::TimedOut => {
+                daemon.counters.timed_out.fetch_add(1, Ordering::Relaxed);
+                return ConnOutcome::KeepServing;
+            }
+            Incoming::TooLong => {
+                daemon.counters.oversized.fetch_add(1, Ordering::Relaxed);
+                let msg = format!("request line longer than {} bytes", conn.max_request_bytes);
+                if writeln!(writer, "{}", error_response(0, &msg)).is_ok() && writer.flush().is_ok()
+                {
+                    linger(&mut reader, &conn);
+                }
+                return ConnOutcome::KeepServing;
+            }
         };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, shutdown) = handle_request(&line, daemon);
         if writeln!(writer, "{response}").is_err() || writer.flush().is_err() {
             return ConnOutcome::KeepServing;
         }
@@ -146,7 +315,92 @@ fn handle_connection(stream: TcpStream, daemon: &Daemon) -> ConnOutcome {
             return ConnOutcome::Shutdown;
         }
     }
-    ConnOutcome::KeepServing
+}
+
+/// How a wait for the next request line ended.
+enum Incoming {
+    /// A request line is in the buffer (its newline, and a `\r` before
+    /// it, stripped). The last line before EOF needs no newline.
+    Line,
+    /// EOF before any byte of a line, or a socket error.
+    Closed,
+    /// The line did not arrive within the read timeout.
+    TimedOut,
+    /// The line exceeds the size cap.
+    TooLong,
+}
+
+/// Reads the next request line into `line`. The whole line must arrive
+/// within `conn.read_timeout` and fit in `conn.max_request_bytes`.
+fn read_request(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+    conn: &ConnLimits,
+) -> Incoming {
+    line.clear();
+    let deadline = Instant::now() + conn.read_timeout;
+    loop {
+        match fill_by(reader, deadline) {
+            Ok(true) => {}
+            Ok(false) if line.is_empty() => return Incoming::Closed,
+            Ok(false) => return Incoming::Line,
+            // An expired socket timeout reads as `WouldBlock` on Unix.
+            Err(e) => {
+                return match e.kind() {
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => Incoming::TimedOut,
+                    _ => Incoming::Closed,
+                }
+            }
+        }
+        let buf = reader.buffer();
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let take = newline.unwrap_or(buf.len());
+        if line.len() + take > conn.max_request_bytes {
+            return Incoming::TooLong;
+        }
+        line.extend_from_slice(&buf[..take]);
+        reader.consume(take + usize::from(newline.is_some()));
+        if newline.is_some() {
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+            return Incoming::Line;
+        }
+    }
+}
+
+/// Makes sure `reader`'s buffer holds unread bytes, reading with the
+/// socket's read timeout set to what is left until `deadline`. Returns
+/// `false` at EOF.
+fn fill_by(reader: &mut BufReader<TcpStream>, deadline: Instant) -> io::Result<bool> {
+    if !reader.buffer().is_empty() {
+        return Ok(true);
+    }
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        reader.get_ref().set_read_timeout(Some(left))?;
+        match reader.fill_buf() {
+            Ok(buf) => return Ok(!buf.is_empty()),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Closes a connection whose client may still be sending: stops
+/// sending, then discards what arrives until the client closes or the
+/// read timeout passes. Closing with unread input would reset the
+/// connection and could destroy the reply before the client reads it.
+fn linger(reader: &mut BufReader<TcpStream>, conn: &ConnLimits) {
+    let _ = reader.get_ref().shutdown(Shutdown::Write);
+    let deadline = Instant::now() + conn.read_timeout;
+    while let Ok(true) = fill_by(reader, deadline) {
+        let n = reader.buffer().len();
+        reader.consume(n);
+    }
 }
 
 /// Parses and dispatches one request line; returns the one-line
@@ -178,6 +432,7 @@ fn handle_request(line: &str, daemon: &Daemon) -> (String, bool) {
                 &daemon.pool.stats(),
                 &daemon.cache,
             );
+            daemon.counters.record(&mut metrics);
             (doc_response(id, &metrics.to_json()), false)
         }
         m if PIPELINE_METHODS.contains(&m) => {
@@ -376,5 +631,74 @@ pub fn rpc_main(flags: &Flags, args: &[String]) -> u8 {
         Some(code) => u8::try_from(code).unwrap_or(EXIT_CRASH),
         // Protocol-level error with no exit code: a usage-shaped error.
         None => crate::EXIT_USAGE,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use super::{serve, ConnLimits, Daemon};
+    use crate::Flags;
+
+    /// A connection is closed once it has been silent for the read
+    /// timeout, whether it sent nothing since its last reply or stopped
+    /// inside a request line, and each closure is counted.
+    #[test]
+    fn silent_connections_are_closed_at_the_read_timeout() {
+        let read_timeout = Duration::from_millis(200);
+        let conn = ConnLimits {
+            read_timeout,
+            write_timeout: Duration::from_secs(5),
+            max_request_bytes: 1024,
+        };
+        let flags = Flags {
+            jobs: Some(1),
+            ..Flags::default()
+        };
+        let daemon = Arc::new(Daemon::new(&flags, conn).expect("pool"));
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("address");
+        let server = {
+            let daemon = Arc::clone(&daemon);
+            std::thread::spawn(move || serve(listener, &daemon, 2))
+        };
+        let connect = || {
+            let stream = TcpStream::connect(addr).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .expect("client timeout");
+            stream
+        };
+        // Closed after a reply, then mid-line: each read ends in EOF
+        // once the handler gives up, not before.
+        let mut answered = connect();
+        let check = r#"{"v":"fg-rpc/1","id":1,"method":"check","source":"true"}"#;
+        writeln!(answered, "{check}").expect("send");
+        let mut reader = BufReader::new(answered.try_clone().expect("clone"));
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        assert!(reply.contains(r#""output":"bool\n""#), "{reply}");
+        let mut partial = connect();
+        partial.write_all(br#"{"v":"fg-rpc/1","#).expect("send");
+        let start = Instant::now();
+        for stream in [&mut reader as &mut dyn Read, &mut partial] {
+            let mut rest = Vec::new();
+            let read = stream.read_to_end(&mut rest);
+            read.expect("EOF, not a client timeout");
+            assert!(rest.is_empty(), "no reply to a timed-out line: {rest:?}");
+        }
+        assert!(start.elapsed() >= read_timeout - Duration::from_millis(50));
+        assert_eq!(daemon.counters.timed_out.load(Ordering::Relaxed), 2);
+        assert_eq!(daemon.counters.accepted.load(Ordering::Relaxed), 2);
+
+        let mut stop = connect();
+        writeln!(stop, r#"{{"v":"fg-rpc/1","id":2,"method":"shutdown"}}"#).expect("send");
+        let served = server.join().expect("serve thread");
+        served.expect("clean shutdown");
     }
 }

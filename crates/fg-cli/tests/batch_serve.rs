@@ -348,7 +348,7 @@ fn serve_cache_invalidates_when_fig6_is_edited() {
 }
 
 /// Malformed requests get a protocol error response; the daemon keeps
-/// serving on the same connection.
+/// serving on the same connection, and shuts down while it is open.
 #[test]
 fn serve_rejects_malformed_requests_and_keeps_serving() {
     use std::net::TcpStream;
@@ -376,10 +376,186 @@ fn serve_rejects_malformed_requests_and_keeps_serving() {
             assert_eq!(as_str(&resp, "output"), "bool\n");
         }
     }
-    // Connections are accepted sequentially: close this one so the
-    // shutdown client's connect can be served.
-    drop(reader);
-    drop(writer);
+    daemon.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Concurrent connections
+// ---------------------------------------------------------------------
+
+/// How long a test waits for a reply that a concurrent daemon sends at
+/// once, before it counts the daemon as wedged.
+const PROMPT: std::time::Duration = std::time::Duration::from_secs(1);
+
+/// A connection to the daemon whose reads give up after [`PROMPT`], so
+/// a wedged daemon fails a test instead of hanging it.
+fn connect(daemon: &ServeGuard) -> std::net::TcpStream {
+    let stream = std::net::TcpStream::connect(&daemon.addr).expect("connect");
+    stream
+        .set_read_timeout(Some(PROMPT))
+        .expect("client timeout");
+    stream
+}
+
+/// Sends one request line on a fresh connection and reads the reply.
+fn request(daemon: &ServeGuard, line: &str) -> telemetry::json::Json {
+    let mut stream = connect(daemon);
+    writeln!(stream, "{line}").expect("send request");
+    let mut reply = String::new();
+    BufReader::new(stream)
+        .read_line(&mut reply)
+        .unwrap_or_else(|e| panic!("no reply within {PROMPT:?} to {line}: {e}"));
+    telemetry::json::Json::parse(reply.trim_end()).expect("reply is JSON")
+}
+
+/// A pipeline request line for `source`.
+fn pipeline_request(method: &str, source: &str, prelude: bool) -> String {
+    format!(
+        r#"{{"v":"fg-rpc/1","id":1,"method":"{method}","source":{},"prelude":{prelude}}}"#,
+        telemetry::json::escape(source),
+    )
+}
+
+/// One counter of the `serve` group in the daemon's `stats`.
+fn serve_counter(daemon: &ServeGuard, key: &str) -> i64 {
+    let stats = request(daemon, r#"{"v":"fg-rpc/1","id":1,"method":"stats"}"#);
+    let doc = telemetry::json::Json::parse(as_str(&stats, "output")).expect("fg-metrics/1");
+    doc.get("counters")
+        .and_then(|c| c.get("serve"))
+        .and_then(|g| g.get(key))
+        .and_then(telemetry::json::Json::as_i64)
+        .unwrap_or_else(|| panic!("no serve.{key} in {doc:?}"))
+}
+
+/// One client that connects and sends nothing does not hold up another
+/// client's request.
+#[test]
+fn serve_answers_a_client_while_another_stays_silent() {
+    let daemon = ServeGuard::spawn();
+    // `connect` returns once the connection waits in the daemon's accept
+    // queue, so the silent one is accepted before any later one.
+    let silent = connect(&daemon);
+    let start = std::time::Instant::now();
+    let resp = request(&daemon, &pipeline_request("check", GOOD, false));
+    assert!(start.elapsed() < PROMPT, "took {:?}", start.elapsed());
+    assert_eq!(as_str(&resp, "output"), "int\n");
+    assert!(serve_counter(&daemon, "connections_peak") >= 2);
+    assert_eq!(serve_counter(&daemon, "connections_timed_out"), 0);
+    // The silent client, the check and three `stats` connections.
+    assert_eq!(serve_counter(&daemon, "connections_accepted"), 5);
+    drop(silent);
+    daemon.shutdown();
+}
+
+/// A request line over the size cap gets an error reply and its
+/// connection is closed; the next client is served as usual.
+#[test]
+fn serve_rejects_an_oversized_request_and_serves_the_next_client() {
+    use std::io::Read;
+    let daemon = ServeGuard::spawn();
+    let mut stream = connect(&daemon);
+    let huge = pipeline_request("check", &"1".repeat(1 << 20), false);
+    writeln!(stream, "{huge}").expect("send request");
+    let mut reader = BufReader::new(stream);
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("a reply to the oversized line");
+    let resp = telemetry::json::Json::parse(reply.trim_end()).expect("reply is JSON");
+    assert_eq!(
+        resp.get("ok"),
+        Some(&telemetry::json::Json::Bool(false)),
+        "{reply}"
+    );
+    assert!(
+        as_str(&resp, "error").contains("longer than 1048576 bytes"),
+        "{reply}"
+    );
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("the daemon closes the connection");
+    assert!(rest.is_empty(), "nothing after the error reply");
+
+    let resp = request(&daemon, &pipeline_request("check", GOOD, false));
+    assert_eq!(as_str(&resp, "output"), "int\n");
+    assert_eq!(serve_counter(&daemon, "requests_oversized"), 1);
+    daemon.shutdown();
+}
+
+/// `shutdown` ends the daemon (exit 0) at once while another client
+/// holds an idle connection open.
+#[test]
+fn serve_shuts_down_while_a_connection_idles() {
+    let mut daemon = ServeGuard::spawn();
+    let _idle = connect(&daemon);
+    let start = std::time::Instant::now();
+    let resp = request(&daemon, r#"{"v":"fg-rpc/1","id":1,"method":"shutdown"}"#);
+    assert_eq!(resp.get("ok"), Some(&telemetry::json::Json::Bool(true)));
+    let status = loop {
+        if let Some(status) = daemon.child.try_wait().expect("poll serve") {
+            break status;
+        }
+        assert!(
+            start.elapsed() < PROMPT,
+            "fg serve still running after shutdown"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    };
+    assert_eq!(status.code(), Some(0));
+}
+
+/// Two clients translating the examples at the same time, in opposite
+/// orders, with and without the prelude, each get exactly what a
+/// one-shot `fg translate` prints: concurrent requests share nothing.
+#[test]
+fn concurrent_translate_matches_one_shot() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+    let mut files: Vec<String> = std::fs::read_dir(dir)
+        .expect("examples")
+        .map(|e| e.expect("entry").path().to_string_lossy().into_owned())
+        .filter(|p| p.ends_with(".fg"))
+        .collect();
+    files.sort();
+    assert!(!files.is_empty(), "no examples in {dir}");
+    let mut cases = Vec::new();
+    for prelude in [false, true] {
+        for file in &files {
+            let flags: &[&str] = if prelude { &["--prelude"] } else { &[] };
+            let (stdout, stderr, code) =
+                run_fg(&[flags, &["translate", file.as_str()]].concat(), "");
+            let source = std::fs::read_to_string(file).expect("read example");
+            cases.push((
+                pipeline_request("translate", &source, prelude),
+                stdout,
+                stderr,
+                code,
+            ));
+        }
+    }
+    let daemon = ServeGuard::spawn();
+    std::thread::scope(|s| {
+        for reverse in [false, true] {
+            let (cases, daemon) = (&cases, &daemon);
+            s.spawn(move || {
+                let mut order: Vec<usize> = (0..cases.len()).collect();
+                if reverse {
+                    order.reverse();
+                }
+                for i in order {
+                    let (line, stdout, stderr, code) = &cases[i];
+                    let resp = request(daemon, line);
+                    assert_eq!(as_str(&resp, "output"), stdout, "case {i}");
+                    assert_eq!(as_str(&resp, "diagnostics"), stderr, "case {i}");
+                    assert_eq!(
+                        resp.get("exit").and_then(telemetry::json::Json::as_i64),
+                        Some(i64::from(*code)),
+                        "case {i}"
+                    );
+                }
+            });
+        }
+    });
     daemon.shutdown();
 }
 

@@ -511,12 +511,11 @@ fn unknown_fault_points_are_usage_errors() {
 /// turns that command's success (exit 0) into a diagnostic (exit 1).
 #[test]
 fn every_fault_point_fires_in_some_command() {
-    // What each point's diagnostic says. A failed model lookup reads as
-    // the miss it reports: the checker's ordinary `no model` diagnostic.
+    // What each point's diagnostic says: every one names the fault.
     let table = [
         ("parse", "check", "injected fault"),
         ("check.expr", "check", "injected fault"),
-        ("check.resolve_model", "check", "no model"),
+        ("check.resolve_model", "check", "injected fault"),
         ("check.where_enter", "check", "injected fault"),
         ("interp.eval", "direct", "injected fault"),
         ("sf.eval", "run", "injected fault"),

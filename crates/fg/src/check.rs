@@ -1152,21 +1152,30 @@ impl Checker {
         args: &[RTy],
         name: Symbol,
     ) -> Option<RTy> {
-        let bucket: Vec<(u32, HeadKey)> =
-            self.model_index.get(&cid).cloned().unwrap_or_default();
         let prune = self.head_prune_ok();
         let qhead = head_key(args);
-        for &(idx, ehead) in bucket.iter().rev() {
-            if prune && !ehead.compatible(qhead) {
-                continue;
-            }
+        // Only parameterized models can assign here, and a scope holds
+        // many parameterless ones (every where-clause proxy), so the
+        // cheap tests run by reference and a skipped entry is never
+        // cloned.
+        let candidates: Vec<u32> = {
+            let bucket = self.model_index.get(&cid).map_or(&[][..], Vec::as_slice);
+            self.stats.candidates_scanned += bucket.len() as u64;
+            bucket
+                .iter()
+                .rev()
+                .filter(|&&(idx, ehead)| {
+                    let entry = &self.models[idx as usize];
+                    (!prune || ehead.compatible(qhead))
+                        && entry.args.len() == args.len()
+                        && !entry.params.is_empty()
+                        && entry.under_construction.is_none()
+                })
+                .map(|&(idx, _)| idx)
+                .collect()
+        };
+        for idx in candidates {
             let entry = self.models[idx as usize].clone();
-            if entry.args.len() != args.len()
-                || entry.params.is_empty()
-                || entry.under_construction.is_some()
-            {
-                continue;
-            }
             let Some(sigma) = self.match_entry(&entry, args) else {
                 continue;
             };
@@ -1350,8 +1359,8 @@ impl Checker {
         match fault::hit("check.resolve_model") {
             None => {}
             Some(FaultMode::Error) => {
-                // Trip the budget and report a miss: the caller turns the
-                // miss into a structured `NoModel`/exhaustion diagnostic.
+                // Trip the budget and report a miss: the callers poll the
+                // budget on a miss and report the exhaustion.
                 self.budget.trip(Resource::Injected, 0);
                 self.stats.model_misses += 1;
                 return None;
@@ -1767,6 +1776,9 @@ impl Checker {
         span: Span,
     ) -> Result<(RTy, Term), CheckError> {
         let Some(resolved) = self.resolve_model_at(cid, args, true, "member") else {
+            // A miss caused by an exhausted budget (or an injected fault)
+            // reports that cause, not a missing model.
+            self.budget.ok().map_err(|x| exhausted_err(x, "check", span))?;
             return self.err(
                 ErrorKind::NoModel {
                     concept: cname,
@@ -2310,6 +2322,7 @@ impl Checker {
             let Some(resolved) =
                 self.resolve_model_at(dict.concept, &inst_args, false, "instantiate")
             else {
+                self.budget.ok().map_err(|x| exhausted_err(x, "check", span))?;
                 return self.err(
                     ErrorKind::NoModel {
                         concept: dict.concept_name,

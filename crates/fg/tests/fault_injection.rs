@@ -79,14 +79,21 @@ model C<int> { f = lam x: int. x; } in
 }
 
 #[test]
-fn resolve_model_fault_degrades_to_a_no_model_diagnostic() {
-    // `check.resolve_model` reports a miss rather than erroring directly:
-    // the checker turns that into its ordinary `no model` diagnostic.
-    let err = with_plan(plan("check.resolve_model"), run).unwrap_err();
+fn resolve_model_fault_surfaces_as_an_injected_fault() {
+    // `check.resolve_model` trips the budget and reports a miss; the
+    // checker polls the budget on a miss, so the diagnostic names the
+    // injected fault, not a missing model.
+    let budget = Arc::new(Budget::unlimited());
+    let err = with_plan(plan("check.resolve_model"), || run_on(&budget)).unwrap_err();
     assert!(
-        err.to_string().contains("no model"),
-        "expected a NoModel diagnostic, got: {err}"
+        err.exhausted().is_some(),
+        "expected an exhaustion error, got: {err}"
     );
+    assert!(
+        err.to_string().contains("injected fault"),
+        "expected the injected fault to be named, got: {err}"
+    );
+    assert_eq!(budget.exhausted().unwrap().resource, Resource::Injected);
     assert_eq!(run().unwrap(), system_f::Value::Int(42));
 }
 

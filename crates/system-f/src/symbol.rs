@@ -15,6 +15,12 @@
 //! depends only on the terms involved — so compiling a program again
 //! interns nothing new, and the table grows with the distinct names seen,
 //! not with the number of compilations.
+//!
+//! Pool workers check programs concurrently, and every printed or
+//! generated name reads a symbol's string, so [`Symbol::as_str`] takes no
+//! lock: names live in chunks of doubling size that never move once
+//! allocated, and each slot is written once, before its symbol is handed
+//! out. Only [`Symbol::intern`] locks, to look the name up.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -35,32 +41,41 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
-struct Interner {
-    by_name: HashMap<&'static str, Symbol>,
-    names: Vec<&'static str>,
+fn interner() -> &'static Mutex<HashMap<&'static str, Symbol>> {
+    static INTERNER: OnceLock<Mutex<HashMap<&'static str, Symbol>>> = OnceLock::new();
+    INTERNER.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn interner() -> &'static Mutex<Interner> {
-    static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            by_name: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
+/// One slot per symbol, written once by `intern`.
+type Slot = OnceLock<&'static str>;
+
+/// Chunk `c` holds the names of symbols `2^c - 1 ..= 2^(c+1) - 2`, so
+/// 33 chunks cover every `u32` index.
+static NAMES: [OnceLock<Box<[Slot]>>; 33] = [const { OnceLock::new() }; 33];
+
+/// The chunk and the slot within it of symbol index `i`.
+fn slot_of(i: u32) -> (usize, usize) {
+    let n = u64::from(i) + 1;
+    let chunk = n.ilog2();
+    (chunk as usize, (n - (1 << chunk)) as usize)
 }
 
 impl Symbol {
     /// Interns `name`, returning its canonical symbol.
     pub fn intern(name: &str) -> Symbol {
-        let mut int = interner().lock().expect("interner poisoned");
-        if let Some(&sym) = int.by_name.get(name) {
+        let mut by_name = interner().lock().expect("interner poisoned");
+        if let Some(&sym) = by_name.get(name) {
             return sym;
         }
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        let sym = Symbol(u32::try_from(int.names.len()).expect("interner overflow"));
-        int.names.push(leaked);
-        int.by_name.insert(leaked, sym);
+        let sym = Symbol(u32::try_from(by_name.len()).expect("interner overflow"));
+        let (chunk, slot) = slot_of(sym.0);
+        let slots =
+            NAMES[chunk].get_or_init(|| (0..1usize << chunk).map(|_| Slot::new()).collect());
+        // The slot is written before the symbol exists anywhere else, so
+        // every `as_str` of it finds the name.
+        slots[slot].set(leaked).expect("each index is written once");
+        by_name.insert(leaked, sym);
         sym
     }
 
@@ -97,7 +112,11 @@ impl Symbol {
 
     /// The interned string.
     pub fn as_str(self) -> &'static str {
-        interner().lock().expect("interner poisoned").names[self.0 as usize]
+        let (chunk, slot) = slot_of(self.0);
+        NAMES[chunk]
+            .get()
+            .and_then(|slots| slots[slot].get())
+            .expect("a symbol's name is written before the symbol is handed out")
     }
 
     /// The raw interner index, usable as a dense table key.
@@ -175,6 +194,46 @@ mod tests {
     fn as_str_round_trips() {
         let s = Symbol::intern("Monoid");
         assert_eq!(s.as_str(), "Monoid");
+    }
+
+    #[test]
+    fn slots_tile_the_index_space() {
+        // Consecutive indices fill each chunk in order, then start the
+        // next one at slot 0; the last `u32` index still has a chunk.
+        let mut expect = (0, 0);
+        for i in 0..1024u32 {
+            assert_eq!(slot_of(i), expect, "index {i}");
+            expect = if expect.1 + 1 == 1 << expect.0 {
+                (expect.0 + 1, 0)
+            } else {
+                (expect.0, expect.1 + 1)
+            };
+        }
+        assert_eq!(slot_of(u32::MAX), (32, 0));
+        assert_eq!(NAMES.len(), 33);
+    }
+
+    #[test]
+    fn names_read_back_while_other_threads_intern() {
+        let threads: Vec<_> = (0..4)
+            .map(|t| {
+                std::thread::spawn(move || {
+                    let syms: Vec<(Symbol, String)> = (0..2000)
+                        .map(|i| {
+                            let name = format!("concurrent_{t}_{i}");
+                            (Symbol::intern(&name), name)
+                        })
+                        .collect();
+                    for (sym, name) in &syms {
+                        assert_eq!(sym.as_str(), name);
+                        assert_eq!(Symbol::intern(name), *sym);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("no interner thread panics");
+        }
     }
 
     #[test]
