@@ -210,6 +210,23 @@ stage_robustness() {
         done
     done
 
+    # The 20-level refinement diamond is charged as the 2^21-node tree of
+    # the paper's nested tuples, so the dict-node cap trips at limit + 1,
+    # but the shipped checker builds only its distinct sub-plans.
+    code=0
+    "$FG" --metrics-json - check examples/adversarial/refinement_diamond.fg \
+        > "$CI_TMP/diamond.json" 2> /dev/null || code=$?
+    [ "$code" -eq 1 ] || { echo "FAIL: refinement_diamond check exited $code (want 1)"; exit 1; }
+    python3 - "$CI_TMP/diamond.json" <<'PYEOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+dict_nodes = counters["limits"]["dict_nodes"]
+built = counters["check"]["plan_nodes_built"]
+assert dict_nodes == 250001, f"dict_nodes {dict_nodes}, want 250001"
+assert built <= 64, f"plan_nodes_built {built}, want <= 64 (shared sub-plans)"
+print(f"robustness: refinement_diamond dict_nodes {dict_nodes}, plan_nodes_built {built}")
+PYEOF
+
     # Fixed-seed no-panic fuzz smoke: 1000 generated programs through
     # the governed pipeline, zero panics, bounded wall-clock.
     cargo test -q -p fg --test fuzz_pipeline --offline

@@ -170,6 +170,7 @@ fn stl_prelude(suite: &mut Suite) {
                 telemetry::trace::Tracer::disabled(),
                 Default::default(),
             )
+            .0
             .unwrap()
     });
 }
@@ -274,9 +275,10 @@ fn dictionary_overhead(suite: &mut Suite) {
 /// * `refinement_chain`: depth-`d` refinement chains; each level
 ///   re-instantiates its ancestors, so roughly quadratic in depth.
 /// * `diamond_lattice`: 3-layer lattices of growing width, each layer
-///   refining every concept of the previous one; cost follows the
-///   lattice's edge count, not exponentially in deduplicated
-///   associated types.
+///   refining every concept of the previous one, and a depth sweep of
+///   width-2 lattices from 2 to 14 layers. Associated types and
+///   dictionary plans are deduplicated, but the dictionary's
+///   nested-tuple type and proxies are not, so cost grows as 2^depth.
 /// * `same_type_chain`: `k` iterators with `k-1` same-type constraints,
 ///   the congruence-closure work of checking.
 fn refinement_and_same_type(suite: &mut Suite) {
@@ -289,6 +291,9 @@ fn refinement_and_same_type(suite: &mut Suite) {
     }
     for width in [1usize, 2, 3, 4] {
         check("diamond_lattice", "layers3_width", width, crate::diamond_program(3, width));
+    }
+    for layers in 2usize..=14 {
+        check("diamond_lattice", "width2_layers", layers, crate::diamond_program(layers, 2));
     }
     for k in [1usize, 2, 4, 8, 16] {
         check("same_type_chain", "check_translate", k, crate::same_type_chain_program(k));
@@ -354,7 +359,7 @@ mod tests {
             ("throughput", 3),
             ("dictionary_overhead", 4 * 4),
             ("refinement_chain", 5),
-            ("diamond_lattice", 4),
+            ("diamond_lattice", 4 + 13),
             ("same_type_chain", 5),
             ("paper_figures", 4 * corpus::ALL.len()),
             ("figure_3_system_f", 3),
@@ -364,7 +369,7 @@ mod tests {
             assert_eq!(got, count, "entries in group {group}");
         }
         let total: usize = groups.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, 84);
+        assert_eq!(total, 97);
         assert_eq!(report.entries.len(), total);
         // Keys are unique, and every measurement is nonzero.
         let mut keys = HashSet::new();

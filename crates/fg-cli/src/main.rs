@@ -590,14 +590,19 @@ fn stages(
         return Ok(());
     }
     let sp = tracer.begin("check", vec![("source", path.into())]);
+    let mut counters = None;
     // A large Err variant is fine here: this runs once per invocation.
     #[allow(clippy::result_large_err)]
     let checked = metrics.phase("check_translate", || {
         let snapshot = prelude.snapshot(&prefix, &body, tracer, budget)?;
-        let compiled = snapshot.check_body(&body, tracer.clone(), budget.clone())?;
-        Ok::<_, fg::CheckError>((snapshot, compiled))
+        let (compiled, stats) = snapshot.check_body(&body, tracer.clone(), budget.clone());
+        counters = Some(stats);
+        Ok::<_, fg::CheckError>((snapshot, compiled?))
     });
     tracer.end(sp);
+    if let Some(stats) = counters {
+        record_check_counters(metrics, &stats);
+    }
     let (snapshot, compiled) = match checked {
         Ok(c) => c,
         Err(e) => {
@@ -722,22 +727,26 @@ fn stages(
     }
 }
 
-/// The checker's counters: scoped model lookup plus dictionary
-/// construction (the `check` group) and congruence-closure work (the
-/// `congruence` group).
-fn record_check_stats(metrics: &mut Metrics, compiled: &fg::Compiled) {
-    let cs = compiled.check_stats;
+/// The checker's model-lookup and dictionary counters (the `check`
+/// group), recorded whether or not the check succeeded.
+fn record_check_counters(metrics: &mut Metrics, cs: &fg::CheckStats) {
     for (key, value) in [
         ("model_lookups", cs.model_lookups),
         ("model_hits", cs.model_hits),
         ("model_misses", cs.model_misses),
         ("candidates_scanned", cs.candidates_scanned),
+        ("plan_nodes_built", cs.plan_nodes_built),
         ("max_scope_depth", cs.max_scope_depth),
         ("dicts_built", cs.dicts_built),
         ("dict_instantiations", cs.dict_instantiations),
     ] {
         metrics.set_counter("check", key, value);
     }
+}
+
+/// A successful check's interning (the `intern` group) and
+/// congruence-closure work (the `congruence` group).
+fn record_check_stats(metrics: &mut Metrics, compiled: &fg::Compiled) {
     let is = compiled.intern_stats;
     for (key, value) in [
         ("hits", is.hits),

@@ -189,7 +189,7 @@ fn metrics_json_schema_is_stable() {
     for counter in [
         // check group
         "model_lookups", "model_hits", "model_misses", "candidates_scanned",
-        "max_scope_depth", "dicts_built", "dict_instantiations",
+        "plan_nodes_built", "max_scope_depth", "dicts_built", "dict_instantiations",
         // congruence group
         "eq_queries", "assertions", "resolves", "merges", "unions", "finds",
         "terms", "term_bank_peak",
@@ -203,6 +203,36 @@ fn metrics_json_schema_is_stable() {
     for opcode in system_f::vm::OPCODE_NAMES {
         assert!(json.contains(&format!("\"{opcode}\": ")), "missing opcode {opcode}");
     }
+}
+
+/// Dictionary plans are shared within a where clause, but the budget
+/// and the fuel still count the paper's nested-tuple trees: a 12-layer,
+/// width-2 refinement diamond reads the same `dict_nodes` and
+/// `fuel_spent` as when every sub-plan was copied, while the checker
+/// builds each distinct sub-plan once.
+#[test]
+fn metrics_json_counts_shared_dictionary_plans_as_trees() {
+    let (stdout, stderr, code) = run_fg_code(
+        &["--metrics-json", "-", "check", "-"],
+        &bench::diamond_program(12, 2),
+    );
+    assert_eq!(code, 0, "{stderr}");
+    let (ty, json) = stdout.split_once('\n').expect("type line + json");
+    assert_eq!(ty, "Base<int>.a");
+    let doc = telemetry::json::Json::parse(json).unwrap();
+    let counter = |group: &str, key: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(group))
+            .and_then(|g| g.get(key))
+            .and_then(telemetry::json::Json::as_i64)
+            .unwrap_or_else(|| panic!("no {group}.{key} in {json}"))
+    };
+    assert_eq!(counter("limits", "dict_nodes"), 6_142);
+    assert_eq!(counter("limits", "fuel_spent"), 6_328);
+    // The distinct closure of `L11W1<t>` is itself, the two concepts of
+    // each of the ten layers below it, and `Base`: 22 nodes, planned once
+    // for the abstraction's where clause and once for `f[int]`.
+    assert_eq!(counter("check", "plan_nodes_built"), 2 * 22);
 }
 
 #[test]

@@ -24,7 +24,8 @@
 //! `Iterator<Iter1>.elt` and `Iterator<Iter2>.elt` collapse to the single
 //! type parameter the paper calls `elt1`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use system_f::{NameSupply, Prim, Symbol, Term};
@@ -80,6 +81,11 @@ pub struct CheckStats {
     /// inner scan is newest-first over the queried concept's index
     /// bucket; entries of other concepts are never touched).
     pub candidates_scanned: u64,
+    /// Dictionary-plan nodes built fresh. A where clause builds each
+    /// distinct (concept, arguments) sub-plan once and shares it, so on
+    /// a refinement diamond this stays at the distinct closure while the
+    /// budget's `dict_nodes` counts the unfolded tree.
+    pub plan_nodes_built: u64,
     /// Deepest model scope observed at any lookup (gauge, in entries).
     pub max_scope_depth: u64,
     /// Dictionaries assembled for `model` declarations.
@@ -99,6 +105,7 @@ impl CheckStats {
             candidates_scanned: self
                 .candidates_scanned
                 .saturating_sub(base.candidates_scanned),
+            plan_nodes_built: self.plan_nodes_built.saturating_sub(base.plan_nodes_built),
             max_scope_depth: self.max_scope_depth,
             dicts_built: self.dicts_built.saturating_sub(base.dicts_built),
             dict_instantiations: self
@@ -158,7 +165,7 @@ pub fn check_program_budgeted(
     // other caller (tests, doc tests, embedding code on a small stack)
     // gets a dedicated big-stack thread. The tracer handle is shared, so
     // the record is seamless across the thread boundary.
-    let check = move || Checker::new().check_body(e, tracer, budget);
+    let check = move || Checker::new().check_body(e, tracer, budget).0;
     if crate::pool::on_worker() || !depth_exceeds(e, INLINE_DEPTH) {
         return check();
     }
@@ -390,7 +397,7 @@ struct WhereScope {
 /// dictionaries it demands, which associated types it introduces (after
 /// diamond deduplication), and which equalities it asserts.
 struct WherePlan {
-    dicts: Vec<DictPlan>,
+    dicts: Vec<Rc<DictPlan>>,
     assoc_slots: Vec<AssocSlot>,
     /// Same-type requirements inherited from the constrained concepts.
     concept_equalities: Vec<(RTy, RTy)>,
@@ -399,12 +406,17 @@ struct WherePlan {
 }
 
 /// A dictionary's recursive shape: the concept, its arguments, and the
-/// sub-dictionaries for refinements and nested requirements.
+/// sub-dictionaries for refinements and nested requirements. Within one
+/// where clause equal sub-dictionaries share one node, so a plan is a
+/// DAG; the walks over it still unfold it into the paper's nested-tuple
+/// tree.
 struct DictPlan {
     concept: ConceptId,
     concept_name: Symbol,
     args: Vec<RTy>,
-    children: Vec<DictPlan>,
+    children: Vec<Rc<DictPlan>>,
+    /// Nodes in the unfolded tree: what reusing this plan charges.
+    tree_size: u64,
 }
 
 /// One associated type introduced by a where clause.
@@ -431,6 +443,10 @@ pub struct Checker {
     /// constructor of each entry's first argument. Maintained by
     /// [`Checker::push_model`] and truncated by [`Checker::restore`].
     model_index: HashMap<ConceptId, Vec<(u32, HeadKey)>>,
+    /// The same index restricted to *parameterized* models, the only ones
+    /// that can rewrite a projection in [`Checker::norm`]; kept in step
+    /// with `model_index`, so `norm` never walks where-clause proxies.
+    param_index: HashMap<ConceptId, Vec<(u32, HeadKey)>>,
     /// Bumped on every model-scope push and on every restore that pops
     /// models; [`Checker::memo_validate`] discards the where-clause memo
     /// wholesale when the generation (or the equality state) moves.
@@ -537,10 +553,11 @@ impl Checker {
     /// where-clause memo).
     fn push_model(&mut self, entry: ModelEntry) {
         let idx = self.models.len() as u32;
-        self.model_index
-            .entry(entry.concept)
-            .or_default()
-            .push((idx, head_key(&entry.args)));
+        let key = (idx, head_key(&entry.args));
+        self.model_index.entry(entry.concept).or_default().push(key);
+        if !entry.params.is_empty() {
+            self.param_index.entry(entry.concept).or_default().push(key);
+        }
         self.scope_gen += 1;
         self.models.push(entry);
     }
@@ -563,6 +580,7 @@ impl Checker {
         self.stats.model_hits += d.model_hits;
         self.stats.model_misses += d.model_misses;
         self.stats.candidates_scanned += d.candidates_scanned;
+        self.stats.plan_nodes_built += d.plan_nodes_built;
         self.stats.max_scope_depth = self.stats.max_scope_depth.max(d.max_scope_depth);
         self.stats.dicts_built += d.dicts_built;
         self.stats.dict_instantiations += d.dict_instantiations;
@@ -593,13 +611,18 @@ impl Checker {
         self.vars.truncate(saved.vars);
         self.ty_vars.truncate(saved.ty_vars);
         self.concept_names.truncate(saved.concept_names);
-        // Pop models newest-first so the per-concept index (whose bucket
-        // tails are exactly the popped entries) shrinks in lock-step.
+        // Pop models newest-first so the per-concept indexes (whose bucket
+        // tails are exactly the popped entries) shrink in lock-step.
         if self.models.len() > saved.models {
             while self.models.len() > saved.models {
                 if let Some(e) = self.models.pop() {
                     if let Some(bucket) = self.model_index.get_mut(&e.concept) {
                         bucket.pop();
+                    }
+                    if !e.params.is_empty() {
+                        if let Some(bucket) = self.param_index.get_mut(&e.concept) {
+                            bucket.pop();
+                        }
                     }
                 }
             }
@@ -812,7 +835,7 @@ impl Checker {
             concept_equalities: Vec::new(),
             same_constraints: Vec::new(),
         };
-        let mut seen = HashSet::new();
+        let mut shared = HashMap::new();
         for c in constraints {
             match c {
                 RConstraint::Model {
@@ -820,36 +843,71 @@ impl Checker {
                     concept_name,
                     args,
                 } => {
-                    self.visit_concept(*concept, *concept_name, args, &mut plan, &mut seen);
-                    plan.dicts.push(self.build_dict_plan(*concept, *concept_name, args));
+                    let mut reused = 0;
+                    let dict = self.plan_concept(
+                        *concept,
+                        *concept_name,
+                        args,
+                        &mut plan,
+                        &mut shared,
+                        &mut reused,
+                    );
+                    // Reusing a sub-plan costs no work, so its tree size
+                    // is charged once the constraint's walk is done: the
+                    // walk's fuel then precedes the tree's charge, as it
+                    // did when the tree was built in a second pass.
+                    let _ = self.budget.charge_dict_nodes(reused);
+                    plan.dicts.push(dict);
                 }
                 RConstraint::SameTy(a, b) => {
                     plan.same_constraints.push((a.clone(), b.clone()));
                 }
             }
         }
+        self.stats.plan_nodes_built += shared.len() as u64;
         plan
     }
 
-    /// Depth-first discovery of associated types and equalities, skipping
-    /// concept/argument pairs that were already processed. Stops early
-    /// once the budget trips; [`Checker::enter_where`] polls it after.
-    fn visit_concept(
-        &mut self,
+    /// Depth-first walk of `C<args>` and its refinements and requirements:
+    /// discovers associated types and equalities and builds the
+    /// dictionary plan. Each distinct (concept, arguments) pair is walked
+    /// once per where clause; a repeat visit reuses its sub-plan and adds
+    /// the tree size that the paper's nested tuples duplicate to
+    /// `reused`. A fresh node charges one dict-node as it is built, so a
+    /// lattice whose distinct closure is exponential still stops at the
+    /// cap. Once the budget trips the walk degrades to childless leaves;
+    /// every caller polls the budget before using more than a plan's root.
+    fn plan_concept(
+        &self,
         cid: ConceptId,
         cname: Symbol,
         args: &[RTy],
         plan: &mut WherePlan,
-        seen: &mut HashSet<(ConceptId, Vec<RTy>)>,
-    ) {
+        shared: &mut HashMap<(ConceptId, Vec<RTy>), Rc<DictPlan>>,
+        reused: &mut u64,
+    ) -> Rc<DictPlan> {
+        let leaf = || {
+            Rc::new(DictPlan {
+                concept: cid,
+                concept_name: cname,
+                args: args.to_vec(),
+                children: Vec::new(),
+                tree_size: 1,
+            })
+        };
         if self.charge_plan_node().is_err() {
-            return;
+            return leaf();
         }
-        if !seen.insert((cid, args.to_vec())) {
-            return;
+        let key = (cid, args.to_vec());
+        if let Some(dict) = shared.get(&key) {
+            *reused = reused.saturating_add(dict.tree_size);
+            return Rc::clone(dict);
         }
-        let info = self.concepts.get(cid).clone();
-        let s = self.instantiation_subst(&info, args);
+        if self.budget.charge_dict_nodes(1).is_err() {
+            return leaf();
+        }
+        let info = self.concepts.get(cid);
+        let s = self.instantiation_subst(info, args);
         for &a in &info.assoc_types {
             plan.assoc_slots.push(AssocSlot {
                 concept: cid,
@@ -862,47 +920,24 @@ impl Checker {
             plan.concept_equalities
                 .push((subst(lhs, &s), subst(rhs, &s)));
         }
+        let mut children = Vec::with_capacity(info.refines.len() + info.requires.len());
+        let mut tree_size = 1u64;
         for (rc, rargs) in info.refines.iter().chain(&info.requires) {
             let inst_args: Vec<RTy> = rargs.iter().map(|a| subst(a, &s)).collect();
             let rname = self.concepts.name(*rc);
-            self.visit_concept(*rc, rname, &inst_args, plan, seen);
+            let child = self.plan_concept(*rc, rname, &inst_args, plan, shared, reused);
+            tree_size = tree_size.saturating_add(child.tree_size);
+            children.push(child);
         }
-    }
-
-    /// Pure structural recursion building a dictionary's shape (no
-    /// deduplication: diamonds duplicate sub-dictionaries, as in the
-    /// paper's nested-tuple representation).
-    fn build_dict_plan(&self, cid: ConceptId, cname: Symbol, args: &[RTy]) -> DictPlan {
-        // A refinement diamond duplicates sub-plans, so this recursion is
-        // worst-case exponential in the refinement depth. Charge one
-        // dict-node per plan node; once the budget trips, degrade to a
-        // childless leaf — the enclosing fallible caller polls the budget
-        // and reports the exhaustion, so the truncated plan is never used.
-        if self.budget.charge_dict_node().is_err() {
-            return DictPlan {
-                concept: cid,
-                concept_name: cname,
-                args: args.to_vec(),
-                children: Vec::new(),
-            };
-        }
-        let info = self.concepts.get(cid).clone();
-        let s = self.instantiation_subst(&info, args);
-        let children = info
-            .refines
-            .iter()
-            .chain(&info.requires)
-            .map(|(rc, rargs)| {
-                let inst_args: Vec<RTy> = rargs.iter().map(|a| subst(a, &s)).collect();
-                self.build_dict_plan(*rc, self.concepts.name(*rc), &inst_args)
-            })
-            .collect();
-        DictPlan {
+        let dict = Rc::new(DictPlan {
             concept: cid,
             concept_name: cname,
             args: args.to_vec(),
             children,
-        }
+            tree_size,
+        });
+        shared.insert(key, Rc::clone(&dict));
+        dict
     }
 
     /// The System F type of a dictionary for `plan` under the current
@@ -926,9 +961,9 @@ impl Checker {
     }
 
     /// Charges one visit to a dictionary-plan node (one fuel unit) and
-    /// checks the wall-clock deadline. The dict-node meter counts each
-    /// node once, when its plan is built, but the walks over a where
-    /// clause's plans ([`Checker::visit_concept`], [`Checker::dict_ty`],
+    /// checks the wall-clock deadline. The dict-node meter counts the
+    /// unfolded tree once, when its plan is built, but the walks over a
+    /// where clause's plans ([`Checker::plan_concept`], [`Checker::dict_ty`],
     /// [`Checker::register_proxy`]) do real work per node, and a deadline
     /// polled only every 1024 fuel units would let a wide refinement
     /// lattice run far past it.
@@ -1154,12 +1189,11 @@ impl Checker {
     ) -> Option<RTy> {
         let prune = self.head_prune_ok();
         let qhead = head_key(args);
-        // Only parameterized models can assign here, and a scope holds
-        // many parameterless ones (every where-clause proxy), so the
-        // cheap tests run by reference and a skipped entry is never
-        // cloned.
+        // Only parameterized models can assign here, so the walk covers
+        // their index alone; the cheap tests run by reference and a
+        // skipped entry is never cloned.
         let candidates: Vec<u32> = {
-            let bucket = self.model_index.get(&cid).map_or(&[][..], Vec::as_slice);
+            let bucket = self.param_index.get(&cid).map_or(&[][..], Vec::as_slice);
             self.stats.candidates_scanned += bucket.len() as u64;
             bucket
                 .iter()
@@ -1168,7 +1202,6 @@ impl Checker {
                     let entry = &self.models[idx as usize];
                     (!prune || ehead.compatible(qhead))
                         && entry.args.len() == args.len()
-                        && !entry.params.is_empty()
                         && entry.under_construction.is_none()
                 })
                 .map(|&(idx, _)| idx)
@@ -1859,33 +1892,35 @@ impl Checker {
     /// Checks a program body in this checker's environment — typically a
     /// snapshot's, at the hole of a checked prefix — leaving `self`
     /// untouched: the body is checked in a clone with `tracer` and
-    /// `budget` attached. The counters in the result cover the body's
-    /// work only.
+    /// `budget` attached. Returns the outcome and the counters of the
+    /// body's work alone, which a failed check has too (a rejection can
+    /// cost as much as an acceptance); on success they equal
+    /// [`Compiled::check_stats`].
     ///
     /// # Errors
     ///
-    /// Returns the first [`CheckError`] in the body.
+    /// The outcome is the first [`CheckError`] in the body.
     pub fn check_body(
         &self,
         body: &Expr,
         tracer: Tracer,
         budget: Arc<Budget>,
-    ) -> Result<Compiled, CheckError> {
+    ) -> (Result<Compiled, CheckError>, CheckStats) {
         let mut checker = self.clone();
         checker.names.reserve(body.names());
         checker.stats = CheckStats::default();
         checker.set_tracer(tracer);
         checker.set_budget(budget);
         let intern_base = self.intern_stats();
-        let (ty, term, elaborated) = checker.check_elab(body)?;
-        Ok(Compiled {
+        let checked = checker.check_elab(body).map(|(ty, term, elaborated)| Compiled {
             ty,
             term,
             elaborated,
             check_stats: checker.stats,
             type_eq_stats: checker.type_eq_stats().delta_since(&self.type_eq_stats()),
             intern_stats: checker.intern_stats().delta_since(&intern_base),
-        })
+        });
+        (checked, checker.stats)
     }
 
     /// Enters the declarations on `prefix`'s chain down to its hole

@@ -68,14 +68,15 @@ struct Queue {
 }
 
 thread_local! {
-    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+    /// The calling worker's index in its pool; `None` off the pool.
+    static WORKER_ID: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
 /// Whether the calling thread is a [`WorkerPool`] worker, and so has a
 /// [`WORKER_STACK`]-sized stack. The checker runs deep programs inline
 /// when this holds.
 pub fn on_worker() -> bool {
-    ON_WORKER.with(Cell::get)
+    WORKER_ID.with(Cell::get).is_some()
 }
 
 /// Shared pool state.
@@ -174,15 +175,21 @@ impl WorkerPool {
                 let slots = Arc::clone(&slots);
                 let shared = Arc::clone(&self.shared);
                 let erased: Task = Box::new(move || {
+                    let start = std::time::Instant::now();
                     let outcome = catch_unwind(AssertUnwindSafe(task)).map_err(|payload| {
                         shared.panics.fetch_add(1, Ordering::Relaxed);
                         // `&*`: downcast the payload, not the box holding it.
                         panic_message(&*payload)
                     });
-                    // Count the job before signalling completion, so a
-                    // caller that returns from `run_batch` and reads
-                    // `stats()` sees every job of its own batch.
+                    // Count the job and its busy time before signalling
+                    // completion, so a caller that returns from
+                    // `run_batch` and reads `stats()` sees every job of
+                    // its own batch, and no time after the hand-back.
                     shared.jobs.fetch_add(1, Ordering::Relaxed);
+                    if let Some(id) = WORKER_ID.with(Cell::get) {
+                        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                        shared.busy_ns[id].fetch_add(ns, Ordering::Relaxed);
+                    }
                     let (lock, cond) = &*slots;
                     let mut s = lock.lock().unwrap_or_else(|e| e.into_inner());
                     s.results[i] = Some(outcome);
@@ -258,7 +265,7 @@ struct BatchSlots<T> {
 /// The worker body: take the oldest queued task, else sleep on the
 /// condvar until one arrives or the pool closes.
 fn worker_loop(id: usize, shared: &Shared) {
-    ON_WORKER.with(|w| w.set(true));
+    WORKER_ID.with(|w| w.set(Some(id)));
     loop {
         let task = {
             let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
@@ -276,12 +283,9 @@ fn worker_loop(id: usize, shared: &Shared) {
             }
         };
         let Some(task) = task else { return };
-        let start = std::time::Instant::now();
-        // The task wrapper built in `run_batch` already catches unwinds;
-        // this is pure accounting.
+        // The task wrapper built in `run_batch` catches unwinds and
+        // records the job's counters.
         task();
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared.busy_ns[id].fetch_add(ns, Ordering::Relaxed);
     }
 }
 
@@ -462,6 +466,23 @@ mod tests {
         let err = pool.run_one(|| -> u32 { panic!("solo crash") }).unwrap_err();
         assert!(err.contains("solo crash"), "{err}");
         assert_eq!(pool.stats().panics, 1);
+    }
+
+    #[test]
+    fn busy_time_is_recorded_before_the_result_is_handed_back() {
+        let pool = WorkerPool::new(1).unwrap();
+        let pause = std::time::Duration::from_millis(5);
+        let mut busy = 0;
+        for round in 0..5 {
+            let started = std::time::Instant::now();
+            pool.run_one(move || std::thread::sleep(pause)).unwrap();
+            let wall = started.elapsed().as_nanos() as u64;
+            let now: u64 = pool.stats().worker_busy_ns.iter().sum();
+            let task = now - busy;
+            assert!(task >= pause.as_nanos() as u64, "round {round}: {task} ns not yet counted");
+            assert!(task <= wall, "round {round}: {task} ns busy in {wall} ns of wall time");
+            busy = now;
+        }
     }
 
     #[test]

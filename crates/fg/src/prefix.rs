@@ -32,7 +32,7 @@ use telemetry::limits::{Budget, Limits};
 use telemetry::trace::{SpanId, Tracer};
 
 use crate::ast::{hole_symbol, Expr};
-use crate::check::{Checker, Compiled};
+use crate::check::{CheckStats, Checker, Compiled};
 use crate::error::CheckError;
 use crate::rty::InternMark;
 
@@ -196,22 +196,22 @@ impl Snapshot {
 
     /// Checks a body in the hole ([`Checker::check_body`]): its type, its
     /// translation and elaboration (the body's own; see the `splice_*`
-    /// methods), and counters for its work alone. Afterwards the shared
-    /// interner is back at the snapshot's mark.
+    /// methods), and counters for its work alone, on failure too.
+    /// Afterwards the shared interner is back at the snapshot's mark.
     ///
     /// # Errors
     ///
-    /// Returns the first [`CheckError`] in the body.
+    /// The outcome is the first [`CheckError`] in the body.
     pub fn check_body(
         &self,
         body: &Expr,
         tracer: Tracer,
         budget: Arc<Budget>,
-    ) -> Result<Compiled, CheckError> {
-        let checked = self.checker.check_body(body, tracer, budget);
+    ) -> (Result<Compiled, CheckError>, CheckStats) {
+        let (checked, stats) = self.checker.check_body(body, tracer, budget);
         self.checker.close_spine(&self.open, checked.is_ok());
         self.checker.interner().truncate(&self.mark);
-        checked
+        (checked, stats)
     }
 
     /// The whole program's elaboration: the prefix's around `body`'s.

@@ -215,13 +215,20 @@ pub fn subst(ty: &RTy, map: &HashMap<Symbol, RTy>) -> RTy {
             constraints,
             body,
         } => {
+            // A node with no free variable in the map's domain is a
+            // fixpoint, left as it is (binder names included), exactly
+            // as the interner's `subst` leaves it.
+            let fvs = ty.free_vars();
+            if !fvs.iter().any(|v| map.contains_key(v)) {
+                return ty.clone();
+            }
             let mut inner: HashMap<Symbol, RTy> = map
                 .iter()
                 .filter(|(k, _)| !vars.contains(k))
                 .map(|(k, v)| (*k, v.clone()))
                 .collect();
             let range_fvs: Vec<Symbol> = inner.values().flat_map(RTy::free_vars).collect();
-            let in_scope = |s| ty.free_vars().contains(&s);
+            let in_scope = |s| fvs.contains(&s);
             let new_vars = Symbol::rename_binders(vars, |s| range_fvs.contains(&s), in_scope);
             for (&v, &n) in vars.iter().zip(&new_vars).filter(|(v, n)| v != n) {
                 inner.insert(v, RTy::Var(n));
@@ -1248,6 +1255,30 @@ mod tests {
         };
         assert_eq!(vars[0], s("a"));
         assert_eq!(**body, RTy::func(vec![v("a")], RTy::Int));
+    }
+
+    #[test]
+    fn subst_leaves_a_forall_it_cannot_reach_unchanged() {
+        // `[a ↦ s]` over `forall s. fn() -> forall s, u. bool`: `a` occurs
+        // nowhere, so neither `s` binder is renamed, as in the interner.
+        let t = RTy::Forall {
+            vars: vec![s("s")],
+            constraints: vec![],
+            body: Box::new(RTy::func(
+                vec![],
+                RTy::Forall {
+                    vars: vec![s("s"), s("u")],
+                    constraints: vec![],
+                    body: Box::new(RTy::Bool),
+                },
+            )),
+        };
+        let mut map = HashMap::new();
+        map.insert(s("a"), v("s"));
+        assert_eq!(subst(&t, &map), t);
+        let it = TyInterner::new();
+        let sid = it.subst_id(&[(s("a"), it.intern(&v("s")))]);
+        assert_eq!(it.to_rty(it.subst(it.intern(&t), sid)), t);
     }
 
     #[test]

@@ -253,3 +253,77 @@ fn adversarial_corpus_dies_structured_under_default_caps() {
     }
     assert!(seen >= 4, "expected at least 4 adversarial examples, saw {seen}");
 }
+
+/// Checks `src` on a big-stack pool worker, as the CLI does, against a
+/// fresh budget enforcing `limits`. Returns the rendered error (if any),
+/// the checker's counters (kept on failure too) and the budget.
+fn check_counted(src: &str, limits: Limits) -> (Result<(), String>, fg::CheckStats, Arc<Budget>) {
+    let src = src.to_owned();
+    let budget = Arc::new(Budget::new(limits));
+    let shared = budget.clone();
+    let pool = fg::pool::WorkerPool::new(1).expect("spawn worker");
+    let (outcome, stats) = pool
+        .run_one(move || {
+            let expr = fg::parser::parse_expr(&src).expect("parses");
+            let (checked, stats) = fg::Checker::new().check_body(&expr, Tracer::disabled(), shared);
+            (checked.map(drop).map_err(|e| e.render(&src)), stats)
+        })
+        .expect("no panic");
+    (outcome, stats, budget)
+}
+
+#[test]
+fn refinement_diamond_shares_its_plan_and_is_charged_as_a_tree() {
+    // The plan of `C20<t>` unfolds to 2^21 - 1 nodes; the dict-node cap
+    // still counts that tree and trips at `limit + 1`, with the same
+    // diagnostic, but only the 21 distinct nodes are built.
+    let src = include_str!("../../../examples/adversarial/refinement_diamond.fg");
+    let started = Instant::now();
+    let (outcome, stats, budget) = check_counted(src, Limits::DEFAULT_CAPS);
+    let took = started.elapsed();
+    assert_eq!(
+        outcome.unwrap_err(),
+        "26:2: error: dict-nodes budget of 250000 exhausted during check; \
+         raise the limit or simplify the program\n  \
+         |   (biglam t where C20<t>. 0)[int]\n  \
+         |    ^^^^^^"
+    );
+    assert_eq!(budget.dict_nodes(), 250_001);
+    assert_eq!(budget.fuel_spent(), 64);
+    assert!(stats.plan_nodes_built <= 64, "{stats:?}");
+    assert_eq!(stats.plan_nodes_built, 21);
+    assert!(took < Duration::from_secs(2), "took {took:?}");
+}
+
+#[test]
+fn distinct_closure_lattice_trips_the_dict_node_cap_as_it_builds() {
+    // `C_i<t>` refines `C_{i-1}<list t>` and `C_{i-1}<fn(t) -> int>`: no
+    // two nodes of the closure are equal, so sharing saves nothing and
+    // the plan has 2^25 - 1 distinct nodes. Each fresh node is charged
+    // as it is built, so the walk stops at the cap instead of building
+    // the closure first.
+    let mut src = String::from("concept C0<t> { base : t; } in\n");
+    for i in 1..=24 {
+        let p = i - 1;
+        src.push_str(&format!(
+            "concept C{i}<t> {{ refines C{p}<list t>; refines C{p}<fn(t) -> int>; }} in\n"
+        ));
+    }
+    src.push_str("(biglam t where C24<t>. 0)[int]\n");
+    let limit = 10_000;
+    let started = Instant::now();
+    let (outcome, stats, budget) = check_counted(
+        &src,
+        Limits {
+            max_dict_nodes: Some(limit),
+            ..Limits::DEFAULT_CAPS
+        },
+    );
+    let took = started.elapsed();
+    let err = outcome.unwrap_err();
+    assert!(err.contains("dict-nodes budget of 10000 exhausted"), "{err}");
+    assert_eq!(budget.dict_nodes(), limit + 1);
+    assert!(stats.plan_nodes_built <= limit + 1, "{stats:?}");
+    let wall = Duration::from_secs(if cfg!(debug_assertions) { 6 } else { 2 });
+    assert!(took < wall, "took {took:?}");
+}

@@ -70,6 +70,7 @@ fn checking_a_body_matches_checking_the_whole_program() {
             let parsed = snapshot.prefix().parse_body(body, Arc::default()).unwrap();
             let alone = snapshot
                 .check_body(&parsed, Tracer::disabled(), Arc::default())
+                .0
                 .unwrap();
             let whole = fg::check_program(&parse_expr(&with_prelude(body)).unwrap()).unwrap();
             assert_eq!(alone.ty, whole.ty, "{body}");
@@ -114,6 +115,7 @@ fn the_arena_stays_at_its_mark_over_a_thousand_bodies() {
             let parsed = snapshot.prefix().parse_body(&body, Arc::default()).unwrap();
             snapshot
                 .check_body(&parsed, Tracer::disabled(), Arc::default())
+                .0
                 .unwrap()
         };
         let first = check(0);

@@ -128,10 +128,9 @@ proptest! {
     }
 
     /// Substitution through the interner (`SubstId` + cache) produces
-    /// the same tree the tree-walking `subst` builds, up to
-    /// alpha-renaming: the interner leaves a node none of whose free
-    /// variables the map touches as it is, where the tree walk may still
-    /// rename a binder inside it.
+    /// exactly the tree the tree-walking `subst` builds, binder names
+    /// included: both leave a node none of whose free variables the map
+    /// touches as it is.
     #[test]
     fn interned_subst_agrees_with_tree_subst(
         a in rty_strategy(),
@@ -145,107 +144,18 @@ proptest! {
         let interner = TyInterner::new();
         let sid = interner.subst_id(&[(x, interner.intern(&r))]);
         let got = interner.to_rty(interner.subst(interner.intern(&a), sid));
-        prop_assert!(
-            alpha_eq(&got, &expect, &mut Vec::new()),
-            "subst [{x:?} := {r:?}] in {a:?}:\n  interned {got:?}\n  tree     {expect:?}"
+        prop_assert_eq!(
+            &got,
+            &expect,
+            "subst [{:?} := {:?}] in {:?}",
+            x,
+            r,
+            a
         );
         // And again, through the now-warm substitution cache: the memo
         // must return the very same node.
         let again = interner.to_rty(interner.subst(interner.intern(&a), sid));
         prop_assert_eq!(again, got);
-    }
-}
-
-/// Tree-walking alpha-equivalence: binders are matched positionally via
-/// `env`; a variable bound on one side must be bound at the same frame
-/// on the other.
-fn alpha_eq(a: &RTy, b: &RTy, env: &mut Vec<(Symbol, Symbol)>) -> bool {
-    match (a, b) {
-        (RTy::Var(x), RTy::Var(y)) => {
-            for (bx, by) in env.iter().rev() {
-                if bx == x || by == y {
-                    return bx == x && by == y;
-                }
-            }
-            x == y
-        }
-        (RTy::Int, RTy::Int) | (RTy::Bool, RTy::Bool) => true,
-        (RTy::List(x), RTy::List(y)) => alpha_eq(x, y, env),
-        (RTy::Fn(px, rx), RTy::Fn(py, ry)) => {
-            px.len() == py.len()
-                && px.iter().zip(py).all(|(p, q)| alpha_eq(p, q, env))
-                && alpha_eq(rx, ry, env)
-        }
-        (
-            RTy::Forall {
-                vars: vx,
-                constraints: cx,
-                body: bx,
-            },
-            RTy::Forall {
-                vars: vy,
-                constraints: cy,
-                body: by,
-            },
-        ) => {
-            if vx.len() != vy.len() || cx.len() != cy.len() {
-                return false;
-            }
-            let depth = env.len();
-            env.extend(vx.iter().copied().zip(vy.iter().copied()));
-            let ok = cx
-                .iter()
-                .zip(cy)
-                .all(|(p, q)| alpha_eq_constraint(p, q, env))
-                && alpha_eq(bx, by, env);
-            env.truncate(depth);
-            ok
-        }
-        (
-            RTy::Assoc {
-                concept: ca,
-                args: aa,
-                name: na,
-                ..
-            },
-            RTy::Assoc {
-                concept: cb,
-                args: ab,
-                name: nb,
-                ..
-            },
-        ) => {
-            ca == cb
-                && na == nb
-                && aa.len() == ab.len()
-                && aa.iter().zip(ab).all(|(p, q)| alpha_eq(p, q, env))
-        }
-        _ => false,
-    }
-}
-
-fn alpha_eq_constraint(a: &RConstraint, b: &RConstraint, env: &mut Vec<(Symbol, Symbol)>) -> bool {
-    match (a, b) {
-        (
-            RConstraint::Model {
-                concept: ca,
-                args: aa,
-                ..
-            },
-            RConstraint::Model {
-                concept: cb,
-                args: ab,
-                ..
-            },
-        ) => {
-            ca == cb
-                && aa.len() == ab.len()
-                && aa.iter().zip(ab).all(|(p, q)| alpha_eq(p, q, env))
-        }
-        (RConstraint::SameTy(la, ra), RConstraint::SameTy(lb, rb)) => {
-            alpha_eq(la, lb, env) && alpha_eq(ra, rb, env)
-        }
-        _ => false,
     }
 }
 

@@ -37,8 +37,9 @@ pub enum Resource {
     Depth,
     /// Hash-consed congruence-closure nodes.
     CcTerms,
-    /// Dictionary-plan nodes built during where-clause discharge
-    /// (refinement diamonds are exponential without this cap).
+    /// Dictionary-plan nodes of where-clause discharge, counted as the
+    /// nested-tuple tree the dictionaries unfold to (refinement diamonds
+    /// are exponential without this cap).
     DictNodes,
     /// Wall-clock deadline, in milliseconds.
     WallClock,
@@ -252,17 +253,27 @@ impl Budget {
         Ok(())
     }
 
-    /// Charges one dictionary-plan node; re-checks the deadline every
-    /// 1024 nodes, as [`Budget::charge_fuel`] does every 1024 fuel units.
-    pub fn charge_dict_node(&self) -> Result<(), Exhausted> {
+    /// Charges `n` dictionary-plan nodes: one for a node built fresh, a
+    /// shared sub-plan's whole tree size when it is reused. Re-checks the
+    /// deadline whenever the count crosses a multiple of 1024, as
+    /// [`Budget::charge_fuel`] does every 1024 fuel units. However large
+    /// `n` is, a trip leaves the count at exactly `limit + 1`.
+    pub fn charge_dict_nodes(&self, n: u64) -> Result<(), Exhausted> {
         self.ok()?;
-        let made = self.dict_nodes.fetch_add(1, Ordering::Relaxed) + 1;
+        let cap = self.limits.max_dict_nodes.map_or(u64::MAX, |l| l.saturating_add(1));
+        let before = self
+            .dict_nodes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                Some(c.saturating_add(n).min(cap))
+            })
+            .unwrap_or_else(|prev| prev);
+        let made = before.saturating_add(n);
         if let Some(limit) = self.limits.max_dict_nodes {
             if made > limit {
                 return Err(self.trip(Resource::DictNodes, limit));
             }
         }
-        if made & DEADLINE_POLL_MASK == 0 {
+        if made > before | DEADLINE_POLL_MASK {
             self.check_deadline()?;
         }
         Ok(())
@@ -304,7 +315,7 @@ impl Budget {
         self.cc_terms.load(Ordering::Relaxed)
     }
 
-    /// Dictionary-plan nodes created so far.
+    /// Dictionary-plan nodes charged so far.
     pub fn dict_nodes(&self) -> u64 {
         self.dict_nodes.load(Ordering::Relaxed)
     }
@@ -341,13 +352,14 @@ mod tests {
         for _ in 0..10_000 {
             b.charge_fuel(1).unwrap();
             b.charge_cc_term().unwrap();
-            b.charge_dict_node().unwrap();
+            b.charge_dict_nodes(1).unwrap();
         }
         let _g1 = b.enter().unwrap();
         let _g2 = b.enter().unwrap();
         assert!(b.ok().is_ok());
         assert_eq!(b.fuel_spent(), 10_000);
         assert_eq!(b.cc_terms(), 10_000);
+        assert_eq!(b.dict_nodes(), 10_000);
         assert_eq!(b.depth_peak(), 2);
     }
 
@@ -401,6 +413,51 @@ mod tests {
         }
         assert_eq!(b.depth.load(Ordering::Relaxed), 0);
         assert_eq!(b.depth_peak(), 2);
+    }
+
+    #[test]
+    fn bulk_dict_node_charge_over_the_cap_reads_limit_plus_one() {
+        let b = Budget::new(Limits {
+            max_dict_nodes: Some(100),
+            ..Limits::UNLIMITED
+        });
+        b.charge_dict_nodes(1).unwrap();
+        b.charge_dict_nodes(99).unwrap();
+        assert_eq!(b.dict_nodes(), 100);
+        let err = b.charge_dict_nodes(1 << 20).unwrap_err();
+        assert_eq!(
+            err,
+            Exhausted {
+                resource: Resource::DictNodes,
+                limit: 100
+            }
+        );
+        assert_eq!(b.dict_nodes(), 101);
+        // Sticky: a later charge fails without counting.
+        assert_eq!(b.charge_dict_nodes(5).unwrap_err(), err);
+        assert_eq!(b.dict_nodes(), 101);
+        // An unlimited budget saturates instead of wrapping.
+        let u = Budget::unlimited();
+        u.charge_dict_nodes(u64::MAX).unwrap();
+        u.charge_dict_nodes(u64::MAX).unwrap();
+        assert_eq!(u.dict_nodes(), u64::MAX);
+    }
+
+    #[test]
+    fn dict_node_charge_crossing_a_1024_boundary_polls_the_deadline() {
+        let b = Budget::new(Limits {
+            timeout_ms: Some(0),
+            ..Limits::UNLIMITED
+        });
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        // Below the first boundary nothing looks at the clock.
+        b.charge_dict_nodes(1000).unwrap();
+        b.charge_dict_nodes(23).unwrap();
+        assert!(b.ok().is_ok());
+        // One bulk charge from 1023 past 2048 crosses, so it polls.
+        let err = b.charge_dict_nodes(1100).unwrap_err();
+        assert_eq!(err.resource, Resource::WallClock);
+        assert_eq!(b.dict_nodes(), 2123);
     }
 
     #[test]
