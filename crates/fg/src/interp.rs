@@ -24,7 +24,6 @@ use telemetry::limits::{Budget, Exhausted, Resource};
 use telemetry::trace::Tracer;
 
 use crate::ast::{ConceptItem, Constraint, Expr, ExprKind, FgTy, ModelItem};
-use crate::concepts::{ConceptInfo, ConceptTable, MemberSig};
 use crate::rty::{subst, ConceptId, RTy};
 
 /// A runtime value of the direct interpreter.
@@ -183,6 +182,22 @@ pub struct RtModel {
     pub members: RefCell<Vec<(Symbol, DValue)>>,
 }
 
+/// A concept at runtime: what a model site needs of its declaration.
+/// Member types and same-type requirements are the checker's business,
+/// so the interpreter does not record them.
+#[derive(Debug)]
+struct RtConcept {
+    name: Symbol,
+    params: Vec<Symbol>,
+    /// Refinements `refines C′<τ̄>;`, arguments open in `params` and the
+    /// associated-type names.
+    refines: Vec<(ConceptId, Vec<RTy>)>,
+    /// Nested requirements `require C′<τ̄>;`, open like `refines`.
+    requires: Vec<(ConceptId, Vec<RTy>)>,
+    /// Members in dictionary order, with their default bodies.
+    members: Vec<(Symbol, Option<Expr>)>,
+}
+
 /// A parameterized model at runtime: a model *template* capturing its
 /// declaration environment, instantiated afresh at each matching lookup
 /// (mirroring the translation's dictionary constructor).
@@ -220,7 +235,8 @@ pub struct DEnv {
     tyenv: Rc<Vec<(Symbol, RTy)>>,
     concepts: Rc<Vec<(Symbol, ConceptId)>>,
     models: Rc<Vec<RtEntry>>,
-    table: Rc<RefCell<ConceptTable>>,
+    /// Every concept declared so far, indexed by [`ConceptId`].
+    table: Rc<RefCell<Vec<Rc<RtConcept>>>>,
     /// Work counters shared by every environment derived from one root
     /// (closures capture the environment, so the whole run reports into
     /// the same cells).
@@ -344,6 +360,11 @@ impl DEnv {
         v.push((name, ty));
         e.tyenv = Rc::new(v);
         e
+    }
+
+    /// The runtime record of concept `cid`.
+    fn concept(&self, cid: ConceptId) -> Rc<RtConcept> {
+        Rc::clone(&self.table.borrow()[cid.0 as usize])
     }
 
     fn lookup_ty(&self, name: Symbol) -> Option<RTy> {
@@ -631,13 +652,13 @@ fn find_model_at(
     if depth > 32 {
         inc(&env.stats.model_misses);
         env.tracer.instant_with("lookup_depth_limit", || {
-            vec![("concept", env.table.borrow().name(cid).to_string().into())]
+            vec![("concept", env.concept(cid).name.to_string().into())]
         });
         return None;
     }
     let sp = env.tracer.begin_with("model_resolve", || {
         vec![
-            ("concept", env.table.borrow().name(cid).to_string().into()),
+            ("concept", env.concept(cid).name.to_string().into()),
             ("args", render_args(args).into()),
             ("site", site.into()),
             ("scope_depth", env.models.len().into()),
@@ -676,7 +697,7 @@ fn trace_selected(
     env.tracer.instant(
         "model_selected",
         vec![
-            ("concept", env.table.borrow().name(cid).to_string().into()),
+            ("concept", env.concept(cid).name.to_string().into()),
             ("args", render_args(args).into()),
             ("head", render_args(head).into()),
             ("site", site.into()),
@@ -835,7 +856,7 @@ fn instantiate_param_model(
         }
     }
     let cid = pm.concept;
-    let info = env2.table.borrow().get(cid).clone();
+    let info = env2.concept(cid);
     let args: Vec<RTy> = pm.pattern.iter().map(|p| crate::rty::subst(p, sigma)).collect();
     let model = elaborate_model(&env2, cid, &info, &args, &pm.decl).ok()?;
     inc(&use_env.stats.dict_instantiations);
@@ -849,13 +870,13 @@ fn instantiate_param_model(
 fn elaborate_model(
     env: &DEnv,
     cid: ConceptId,
-    info: &ConceptInfo,
+    info: &RtConcept,
     args: &[RTy],
     decl: &crate::ast::ModelDecl,
 ) -> Result<Rc<RtModel>, RuntimeError> {
     let sp = env.tracer.begin_with("dict_build", || {
         vec![
-            ("concept", env.table.borrow().name(cid).to_string().into()),
+            ("concept", env.concept(cid).name.to_string().into()),
             ("parameterized", u64::from(!decl.params.is_empty()).into()),
             ("span_start", decl.span.start.into()),
             ("span_end", decl.span.end.into()),
@@ -875,7 +896,7 @@ fn elaborate_model(
 fn elaborate_model_inner(
     env: &DEnv,
     cid: ConceptId,
-    info: &ConceptInfo,
+    info: &RtConcept,
     args: &[RTy],
     decl: &crate::ast::ModelDecl,
 ) -> Result<Rc<RtModel>, RuntimeError> {
@@ -906,7 +927,7 @@ fn elaborate_model_inner(
             .iter()
             .map(|a| normalize(&subst(a, &s), env))
             .collect();
-        let name = env.table.borrow().name(*rc);
+        let name = env.concept(*rc).name;
         let child = find_model(env, *rc, &inst, "model_decl").ok_or(RuntimeError::NoModel(name))?;
         children.push(child);
     }
@@ -926,10 +947,10 @@ fn elaborate_model_inner(
     });
     // Evaluate members in concept order; defaults see the partial model
     // plus the concept's type parameters bound to the arguments.
-    for m in &info.members {
-        let value = if let Some(e2) = provided.get(&m.name) {
+    for (name, default) in &info.members {
+        let value = if let Some(e2) = provided.get(name) {
             eval(e2, env)?
-        } else if let Some(default) = &m.default {
+        } else if let Some(default) = default {
             let mut denv = env.push_model_tree(Rc::clone(&model));
             for (p, a) in info.params.iter().zip(&model.args) {
                 denv = denv.bind_ty(*p, a.clone());
@@ -939,9 +960,9 @@ fn elaborate_model_inner(
             }
             eval(default, &denv)?
         } else {
-            return Err(RuntimeError::UnknownMember(m.name));
+            return Err(RuntimeError::UnknownMember(*name));
         };
-        model.members.borrow_mut().push((m.name, value));
+        model.members.borrow_mut().push((*name, value));
     }
     Ok(model)
 }
@@ -949,13 +970,12 @@ fn elaborate_model_inner(
 /// Member lookup through a model's refinement tree, mirroring the
 /// typechecker's search order: own members first, then refinement children
 /// depth-first (requirement children are not searched).
-fn find_member_value(table: &ConceptTable, model: &RtModel, member: Symbol) -> Option<DValue> {
+fn find_member_value(env: &DEnv, model: &RtModel, member: Symbol) -> Option<DValue> {
     if let Some((_, v)) = model.members.borrow().iter().find(|(n, _)| *n == member) {
         return Some(v.clone());
     }
-    let info = table.get(model.concept);
-    for (i, _) in info.refines.iter().enumerate() {
-        if let Some(v) = find_member_value(table, &model.children[i], member) {
+    for i in 0..env.concept(model.concept).refines.len() {
+        if let Some(v) = find_member_value(env, &model.children[i], member) {
             return Some(v);
         }
     }
@@ -1099,8 +1119,8 @@ fn eval(e: &Expr, env: &DEnv) -> Result<DValue, RuntimeError> {
             Ok(v)
         }
         ExprKind::Concept(decl, body) => {
-            // Register the concept in the shared table. Member types are
-            // irrelevant at runtime; defaults are kept for model sites.
+            // Register the concept in the shared table; defaults are kept
+            // for model sites.
             let mut assoc_types = Vec::new();
             for item in &decl.items {
                 if let ConceptItem::AssocTypes(names) = item {
@@ -1130,29 +1150,21 @@ fn eval(e: &Expr, env: &DEnv) -> Result<DValue, RuntimeError> {
                         }
                     }
                     ConceptItem::Member { name, default, .. } => {
-                        members.push(MemberSig {
-                            name: *name,
-                            // Types are not used by the interpreter.
-                            ty: RTy::Int,
-                            default: default.clone(),
-                        });
+                        members.push((*name, default.clone()));
                     }
                     ConceptItem::AssocTypes(_) | ConceptItem::Same(..) => {}
                 }
             }
             let id = {
                 let mut table = env.table.borrow_mut();
-                let id = table.next_id();
-                table.push(ConceptInfo {
-                    id,
+                let id = ConceptId(u32::try_from(table.len()).expect("concept table overflow"));
+                table.push(Rc::new(RtConcept {
                     name: decl.name,
                     params: decl.params.clone(),
-                    assoc_types,
                     refines,
                     requires,
                     members,
-                    same: vec![],
-                });
+                }));
                 id
             };
             eval(body, &env.bind_concept(decl.name, id))
@@ -1183,7 +1195,7 @@ fn eval(e: &Expr, env: &DEnv) -> Result<DValue, RuntimeError> {
                 });
                 return eval(body, &env.push_param_model(template));
             }
-            let info = env.table.borrow().get(cid).clone();
+            let info = env.concept(cid);
             let args = decl
                 .args
                 .iter()
@@ -1210,8 +1222,7 @@ fn eval(e: &Expr, env: &DEnv) -> Result<DValue, RuntimeError> {
                 .collect::<Result<Vec<_>, _>>()?;
             let model =
                 find_model(env, cid, &rargs, "member").ok_or(RuntimeError::NoModel(*concept))?;
-            let table = env.table.borrow();
-            find_member_value(&table, &model, *member).ok_or(RuntimeError::UnknownMember(*member))
+            find_member_value(env, &model, *member).ok_or(RuntimeError::UnknownMember(*member))
         }
     }
 }
