@@ -269,6 +269,19 @@ PYEOF
          inside && /format!|String|to_string|to_owned|push_str/{print FILENAME ":" NR ": " $0; bad=1}
          END{exit bad}' crates/fg/src/typeeq.rs \
         || { echo "FAIL: string allocation in the congruence encoding hot path"; exit 1; }
+
+    # Grep gate: the checker and the equality engine substitute only
+    # through the interner (`TyInterner::subst`); the tree-walking
+    # `rty::subst`/`subst_constraint` belong to the direct interpreter and
+    # to the tests that compare the two.
+    for p in crates/fg/src/check.rs crates/fg/src/typeeq.rs; do
+        awk '/#\[cfg\(test\)\]/{exit}
+             /^[[:space:]]*\/\//{next}
+             /fn subst\(/{next}
+             /rty::subst|(^|[^_a-z.])subst\(|subst_constraint\(&/{print FILENAME ":" NR ": " $0; bad=1}
+             END{exit bad}' "$p" \
+            || { echo "FAIL: tree substitution in $p"; exit 1; }
+    done
 }
 
 stage_bench() {

@@ -36,7 +36,9 @@ use telemetry::trace::{SpanId, Tracer};
 use crate::ast::{ConceptDecl, ConceptItem, Constraint, Expr, ExprKind, FgTy, ModelDecl, ModelItem};
 use crate::concepts::{ConceptInfo, ConceptTable, MemberSig};
 use crate::error::{CheckError, ErrorKind};
-use crate::rty::{subst, ConceptId, InternStats, RConstraint, RTy, TyId};
+use crate::rty::{
+    ConceptId, CtId, CtNode, InternStats, RTy, SubstId, TyId, TyInterner, TyNode,
+};
 use crate::typeeq::{TypeEq, TypeEqStats};
 use system_f::lexer::Span;
 
@@ -68,9 +70,8 @@ pub struct Compiled {
 /// scope save/restore.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckStats {
-    /// Model-requirement resolutions attempted ([`Checker::resolve_model`]
-    /// calls, including recursive ones for parameterized-model
-    /// constraints).
+    /// Model-requirement resolutions attempted (including recursive ones
+    /// for parameterized-model constraints).
     pub model_lookups: u64,
     /// Lookups that found a model.
     pub model_hits: u64,
@@ -270,57 +271,64 @@ pub(crate) fn depth_exceeds(e: &Expr, limit: usize) -> bool {
 /// A model in scope: where its dictionary lives in the translation, and
 /// what its associated types are assigned to.
 #[derive(Debug, Clone)]
-pub struct ModelEntry {
+struct ModelEntry {
     /// The modeled concept.
-    pub concept: ConceptId,
+    concept: ConceptId,
     /// The type arguments at which it is modeled. For a parameterized
     /// model these are *patterns* over `params`.
-    pub args: Vec<RTy>,
+    args: Vec<TyId>,
     /// The dictionary variable in the translated program. For a
     /// parameterized model it is bound to a dictionary *constructor*
     /// (a `biglam`, possibly returning a function over constraint
     /// dictionaries).
-    pub dict: Symbol,
+    dict: Symbol,
     /// Projection path from `dict` to this model's dictionary (empty for a
     /// model's own declaration; non-empty for refinement sub-dictionaries).
-    pub path: Vec<usize>,
+    path: Vec<usize>,
     /// Associated-type assignments (assignments for declared models, the
     /// projections themselves for where-clause proxies). Open in `params`
     /// for parameterized models.
-    pub assoc: Vec<(Symbol, RTy)>,
+    assoc: Vec<(Symbol, TyId)>,
     /// `Some` while the model's dictionary is being constructed (checking
     /// default bodies): member name → local `let` binding.
-    pub under_construction: Option<Vec<(Symbol, Symbol)>>,
+    under_construction: Option<Vec<(Symbol, Symbol)>>,
     /// Universally quantified parameters of a parameterized model (§6
     /// extension); empty for ordinary models.
-    pub params: Vec<Symbol>,
+    params: Vec<Symbol>,
     /// The parameterized model's own where clause (constraints on
     /// `params`), resolved; satisfied recursively at each use.
-    pub constraints: Vec<RConstraint>,
+    constraints: Vec<CtId>,
     /// Where the entry came from: the `model` declaration's span, or the
     /// span of the where clause that introduced it as a proxy. Used by
     /// trace events and `fg explain` to name the selected model.
-    pub decl_span: Span,
+    decl_span: Span,
     /// `true` for where-clause proxy entries (hypothetical models standing
     /// for a constraint dictionary), `false` for declared models.
-    pub is_proxy: bool,
+    is_proxy: bool,
 }
 
 /// The outcome of resolving a model requirement `C<τ̄>` against the models
 /// in scope: a dictionary expression plus the instantiated associated-type
 /// assignments.
 #[derive(Debug, Clone)]
-pub struct ResolvedModel {
+struct ResolvedModel {
     /// The dictionary expression in the translation (a variable plus `nth`
     /// projections for ordinary models; a type/dictionary application of
     /// the constructor for parameterized models).
-    pub term: Term,
-    /// Associated-type assignments, instantiated.
-    pub assoc: Vec<(Symbol, RTy)>,
+    term: Term,
     /// Local member bindings if the model is still under construction.
-    pub under_construction: Option<Vec<(Symbol, Symbol)>>,
-    /// The modeled concept.
-    pub concept: ConceptId,
+    under_construction: Option<Vec<(Symbol, Symbol)>>,
+}
+
+/// A universal type's binders, where clause and body.
+type ForallParts = (Rc<[Symbol]>, Rc<[CtId]>, TyId);
+
+/// A parameterized model's matched parameters: `(parameter, type)` pairs.
+type Sigma = Vec<(Symbol, TyId)>;
+
+/// The type `sigma` binds `p` to.
+fn bound_in(sigma: &Sigma, p: Symbol) -> Option<TyId> {
+    sigma.iter().find(|(q, _)| *q == p).map(|&(_, t)| t)
 }
 
 /// Bound on mutually recursive model resolution / type normalization
@@ -353,14 +361,17 @@ impl HeadKey {
 }
 
 /// The head key of an argument list's first element.
-fn head_key(args: &[RTy]) -> HeadKey {
-    match args.first() {
-        None | Some(RTy::Var(_)) | Some(RTy::Assoc { .. }) => HeadKey::Flex,
-        Some(RTy::Int) => HeadKey::Int,
-        Some(RTy::Bool) => HeadKey::Bool,
-        Some(RTy::List(_)) => HeadKey::List,
-        Some(RTy::Fn(ps, _)) => HeadKey::Fn(ps.len()),
-        Some(RTy::Forall { .. }) => HeadKey::Forall,
+fn head_key(types: &TyInterner, args: &[TyId]) -> HeadKey {
+    let Some(&first) = args.first() else {
+        return HeadKey::Flex;
+    };
+    match types.node(first) {
+        TyNode::Var(_) | TyNode::Assoc { .. } => HeadKey::Flex,
+        TyNode::Int => HeadKey::Int,
+        TyNode::Bool => HeadKey::Bool,
+        TyNode::List(_) => HeadKey::List,
+        TyNode::Fn(ps, _) => HeadKey::Fn(ps.len()),
+        TyNode::Forall { .. } => HeadKey::Forall,
     }
 }
 
@@ -400,9 +411,9 @@ struct WherePlan {
     dicts: Vec<Rc<DictPlan>>,
     assoc_slots: Vec<AssocSlot>,
     /// Same-type requirements inherited from the constrained concepts.
-    concept_equalities: Vec<(RTy, RTy)>,
+    concept_equalities: Vec<(TyId, TyId)>,
     /// Same-type constraints written in the where clause itself.
-    same_constraints: Vec<(RTy, RTy)>,
+    same_constraints: Vec<(TyId, TyId)>,
 }
 
 /// A dictionary's recursive shape: the concept, its arguments, and the
@@ -413,29 +424,28 @@ struct WherePlan {
 struct DictPlan {
     concept: ConceptId,
     concept_name: Symbol,
-    args: Vec<RTy>,
+    args: Vec<TyId>,
     children: Vec<Rc<DictPlan>>,
     /// Nodes in the unfolded tree: what reusing this plan charges.
     tree_size: u64,
 }
 
-/// One associated type introduced by a where clause.
+/// One associated type introduced by a where clause: its name and its
+/// projection `C<τ̄>.name`.
 struct AssocSlot {
-    concept: ConceptId,
-    concept_name: Symbol,
-    args: Vec<RTy>,
     name: Symbol,
+    proj: TyId,
 }
 
 /// The F_G typechecker. See [`check_program`] for the one-shot API.
 #[derive(Debug, Clone, Default)]
 pub struct Checker {
     /// All concepts declared so far (append-only).
-    pub concepts: ConceptTable,
-    vars: Vec<(Symbol, RTy)>,
+    concepts: ConceptTable,
+    vars: Vec<(Symbol, TyId)>,
     /// Type names in scope: `None` for ordinary binders,
     /// `Some(expansion)` for transparent type aliases.
-    ty_vars: Vec<(Symbol, Option<RTy>)>,
+    ty_vars: Vec<(Symbol, Option<TyId>)>,
     concept_names: Vec<(Symbol, ConceptId)>,
     models: Vec<ModelEntry>,
     /// Per-concept index into `models`: entry indices (ascending, so a
@@ -451,8 +461,8 @@ pub struct Checker {
     /// models; [`Checker::memo_validate`] discards the where-clause memo
     /// wholesale when the generation (or the equality state) moves.
     scope_gen: u64,
-    /// Where-clause discharge memo, keyed by the interned constraint
-    /// arguments plus the re-entrancy depth (the depth limit makes
+    /// Where-clause discharge memo, keyed by the constraint arguments plus
+    /// the re-entrancy depth (the depth limit makes
     /// outcomes depth-dependent). Every entry is valid exactly at
     /// `memo_stamp`; see [`Checker::resolve_model_at`] for why a hit is
     /// observationally identical to re-running the lookup.
@@ -503,8 +513,8 @@ impl Checker {
     }
 
     /// Renders type arguments for trace attributes: `<int, list t>`.
-    fn render_args(args: &[RTy]) -> String {
-        let parts: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    fn render_args(&self, args: &[TyId]) -> String {
+        let parts: Vec<String> = args.iter().map(|&a| self.rty(a).to_string()).collect();
         format!("<{}>", parts.join(", "))
     }
 
@@ -516,12 +526,6 @@ impl Checker {
             acc.push_str(&i.to_string());
             acc
         })
-    }
-
-    /// The models currently in scope (newest last). Exposed for tests and
-    /// tooling.
-    pub fn models(&self) -> &[ModelEntry] {
-        &self.models
     }
 
     /// Model-lookup and dictionary-construction counters accumulated so
@@ -544,8 +548,34 @@ impl Checker {
     }
 
     /// The type interner this checker's equality engine shares.
-    pub(crate) fn interner(&self) -> crate::rty::TyInterner {
+    pub(crate) fn interner(&self) -> TyInterner {
         self.teq.interner()
+    }
+
+    /// The arena every handle of this checker lives in.
+    fn types(&self) -> &TyInterner {
+        self.teq.types()
+    }
+
+    /// The tree form of `t`, for a type that leaves the checker in an
+    /// error, a trace event or the program's type.
+    fn rty(&self, t: TyId) -> RTy {
+        self.types().to_rty(t)
+    }
+
+    /// [`Checker::rty`] over a list.
+    fn rtys(&self, ts: &[TyId]) -> Vec<RTy> {
+        ts.iter().map(|&t| self.rty(t)).collect()
+    }
+
+    /// `t` under the substitution `sid`.
+    fn subst(&self, t: TyId, sid: SubstId) -> TyId {
+        self.types().subst(t, sid)
+    }
+
+    /// [`Checker::subst`] over a list.
+    fn subst_all(&self, ts: &[TyId], sid: SubstId) -> Vec<TyId> {
+        ts.iter().map(|&t| self.subst(t, sid)).collect()
     }
 
     /// Pushes a model entry, keeping the per-concept index in sync and
@@ -553,7 +583,7 @@ impl Checker {
     /// where-clause memo).
     fn push_model(&mut self, entry: ModelEntry) {
         let idx = self.models.len() as u32;
-        let key = (idx, head_key(&entry.args));
+        let key = (idx, head_key(self.types(), &entry.args));
         self.model_index.entry(entry.concept).or_default().push(key);
         if !entry.params.is_empty() {
             self.param_index.entry(entry.concept).or_default().push(key);
@@ -654,34 +684,37 @@ impl Checker {
     // ------------------------------------------------------------------
 
     /// Resolves a surface type against the lexical environment.
-    pub fn resolve_ty(&mut self, ty: &FgTy, span: Span) -> Result<RTy, CheckError> {
+    fn resolve_ty(&mut self, ty: &FgTy, span: Span) -> Result<TyId, CheckError> {
         match ty {
             FgTy::Var(v) => {
                 // Innermost binding wins; type aliases expand transparently
                 // so they never escape their scope.
                 if let Some((_, expansion)) = self.ty_vars.iter().rev().find(|(n, _)| n == v) {
                     return Ok(match expansion {
-                        Some(rhs) => rhs.clone(),
-                        None => RTy::Var(*v),
+                        Some(rhs) => *rhs,
+                        None => self.types().var(*v),
                     });
                 }
                 if let Some((_, params, assoc)) = &self.current_concept {
                     if params.contains(v) || assoc.contains(v) {
-                        return Ok(RTy::Var(*v));
+                        return Ok(self.types().var(*v));
                     }
                 }
                 self.err(ErrorKind::UnboundTyVar(*v), span)
             }
-            FgTy::Int => Ok(RTy::Int),
-            FgTy::Bool => Ok(RTy::Bool),
-            FgTy::List(t) => Ok(RTy::List(Box::new(self.resolve_ty(t, span)?))),
+            FgTy::Int => Ok(self.types().int()),
+            FgTy::Bool => Ok(self.types().bool()),
+            FgTy::List(t) => {
+                let t = self.resolve_ty(t, span)?;
+                Ok(self.types().list(t))
+            }
             FgTy::Fn(ps, r) => {
                 let params = ps
                     .iter()
                     .map(|p| self.resolve_ty(p, span))
                     .collect::<Result<Vec<_>, _>>()?;
                 let ret = self.resolve_ty(r, span)?;
-                Ok(RTy::Fn(params, Box::new(ret)))
+                Ok(self.types().func(&params, ret))
             }
             FgTy::Forall {
                 vars,
@@ -695,13 +728,13 @@ impl Checker {
                     let rcs = constraints
                         .iter()
                         .map(|c| self.resolve_constraint(c, span))
-                        .collect::<Result<Vec<_>, _>>()?;
+                        .collect::<Result<Rc<[_]>, _>>()?;
                     let rbody = self.resolve_ty(body, span)?;
-                    Ok(RTy::Forall {
-                        vars: vars.clone(),
+                    Ok(self.types().mk(TyNode::Forall {
+                        vars: Rc::from(vars.as_slice()),
                         constraints: rcs,
-                        body: Box::new(rbody),
-                    })
+                        body: rbody,
+                    }))
                 })();
                 self.ty_vars.truncate(n);
                 result
@@ -713,19 +746,19 @@ impl Checker {
             } => {
                 // A self-projection `C<t̄>.s` inside C's own declaration
                 // denotes the bare associated type `s`.
-                if let Some((cname, params, assoc)) = self.current_concept.clone() {
-                    if cname == *concept {
-                        let param_args: Vec<FgTy> =
-                            params.iter().map(|p| FgTy::Var(*p)).collect();
-                        if *args == param_args && assoc.contains(name) {
-                            return Ok(RTy::Var(*name));
-                        }
+                if let Some((cname, params, assoc)) = &self.current_concept {
+                    if cname == concept
+                        && assoc.contains(name)
+                        && args.len() == params.len()
+                        && args.iter().zip(params).all(|(a, p)| *a == FgTy::Var(*p))
+                    {
+                        return Ok(self.types().var(*name));
                     }
                 }
                 let cid = self
                     .lookup_concept(*concept)
                     .ok_or_else(|| CheckError::new(ErrorKind::UnknownConcept(*concept), span))?;
-                let info = self.concepts.get(cid).clone();
+                let info = self.concepts.get(cid);
                 if info.params.len() != args.len() {
                     return self.err(
                         ErrorKind::ArityMismatch {
@@ -749,22 +782,13 @@ impl Checker {
                     .iter()
                     .map(|a| self.resolve_ty(a, span))
                     .collect::<Result<Vec<_>, _>>()?;
-                Ok(RTy::Assoc {
-                    concept: cid,
-                    concept_name: *concept,
-                    args: rargs,
-                    name: *name,
-                })
+                Ok(self.types().assoc(cid, *concept, &rargs, *name))
             }
         }
     }
 
-    fn resolve_constraint(
-        &mut self,
-        c: &Constraint,
-        span: Span,
-    ) -> Result<RConstraint, CheckError> {
-        match c {
+    fn resolve_constraint(&mut self, c: &Constraint, span: Span) -> Result<CtId, CheckError> {
+        let node = match c {
             Constraint::Model { concept, args } => {
                 let cid = self
                     .lookup_concept(*concept)
@@ -783,18 +807,18 @@ impl Checker {
                 let rargs = args
                     .iter()
                     .map(|a| self.resolve_ty(a, span))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(RConstraint::Model {
+                    .collect::<Result<Rc<[_]>, _>>()?;
+                CtNode::Model {
                     concept: cid,
                     concept_name: *concept,
                     args: rargs,
-                })
+                }
             }
-            Constraint::SameTy(a, b) => Ok(RConstraint::SameTy(
-                self.resolve_ty(a, span)?,
-                self.resolve_ty(b, span)?,
-            )),
-        }
+            Constraint::SameTy(a, b) => {
+                CtNode::SameTy(self.resolve_ty(a, span)?, self.resolve_ty(b, span)?)
+            }
+        };
+        Ok(self.types().mk_constraint(node))
     }
 
     // ------------------------------------------------------------------
@@ -804,31 +828,19 @@ impl Checker {
     /// The substitution mapping a concept's parameters to `args` and its
     /// associated-type names to the projections `C<args>.s` (the paper's
     /// `ba` map composed with the parameter substitution).
-    fn instantiation_subst(&self, info: &ConceptInfo, args: &[RTy]) -> HashMap<Symbol, RTy> {
-        let mut map: HashMap<Symbol, RTy> = info
-            .params
-            .iter()
-            .copied()
-            .zip(args.iter().cloned())
-            .collect();
+    fn instantiation_subst(&self, info: &ConceptInfo, args: &[TyId]) -> SubstId {
+        let types = self.types();
+        let mut map: Sigma = info.params.iter().copied().zip(args.iter().copied()).collect();
         for &s in &info.assoc_types {
-            map.insert(
-                s,
-                RTy::Assoc {
-                    concept: info.id,
-                    concept_name: info.name,
-                    args: args.to_vec(),
-                    name: s,
-                },
-            );
+            map.push((s, types.assoc(info.id, info.name, args, s)));
         }
-        map
+        types.subst_id(&map)
     }
 
     /// Computes the instantiation-independent plan of a where clause:
     /// dictionary shapes, deduplicated associated-type slots (diamond
     /// refinements yield a single slot, §5.2), and inherited equalities.
-    fn where_plan(&mut self, constraints: &[RConstraint]) -> WherePlan {
+    fn where_plan(&mut self, constraints: &[CtId]) -> WherePlan {
         let mut plan = WherePlan {
             dicts: Vec::new(),
             assoc_slots: Vec::new(),
@@ -836,18 +848,18 @@ impl Checker {
             same_constraints: Vec::new(),
         };
         let mut shared = HashMap::new();
-        for c in constraints {
-            match c {
-                RConstraint::Model {
+        for &c in constraints {
+            match self.types().constraint_node(c) {
+                CtNode::Model {
                     concept,
                     concept_name,
                     args,
                 } => {
                     let mut reused = 0;
                     let dict = self.plan_concept(
-                        *concept,
-                        *concept_name,
-                        args,
+                        concept,
+                        concept_name,
+                        &args,
                         &mut plan,
                         &mut shared,
                         &mut reused,
@@ -859,9 +871,7 @@ impl Checker {
                     let _ = self.budget.charge_dict_nodes(reused);
                     plan.dicts.push(dict);
                 }
-                RConstraint::SameTy(a, b) => {
-                    plan.same_constraints.push((a.clone(), b.clone()));
-                }
+                CtNode::SameTy(a, b) => plan.same_constraints.push((a, b)),
             }
         }
         self.stats.plan_nodes_built += shared.len() as u64;
@@ -881,9 +891,9 @@ impl Checker {
         &self,
         cid: ConceptId,
         cname: Symbol,
-        args: &[RTy],
+        args: &[TyId],
         plan: &mut WherePlan,
-        shared: &mut HashMap<(ConceptId, Vec<RTy>), Rc<DictPlan>>,
+        shared: &mut HashMap<(ConceptId, Vec<TyId>), Rc<DictPlan>>,
         reused: &mut u64,
     ) -> Rc<DictPlan> {
         let leaf = || {
@@ -909,21 +919,17 @@ impl Checker {
         let info = self.concepts.get(cid);
         let s = self.instantiation_subst(info, args);
         for &a in &info.assoc_types {
-            plan.assoc_slots.push(AssocSlot {
-                concept: cid,
-                concept_name: cname,
-                args: args.to_vec(),
-                name: a,
-            });
+            let proj = self.types().assoc(cid, cname, args, a);
+            plan.assoc_slots.push(AssocSlot { name: a, proj });
         }
-        for (lhs, rhs) in &info.same {
+        for &(lhs, rhs) in &info.same {
             plan.concept_equalities
-                .push((subst(lhs, &s), subst(rhs, &s)));
+                .push((self.subst(lhs, s), self.subst(rhs, s)));
         }
         let mut children = Vec::with_capacity(info.refines.len() + info.requires.len());
         let mut tree_size = 1u64;
         for (rc, rargs) in info.refines.iter().chain(&info.requires) {
-            let inst_args: Vec<RTy> = rargs.iter().map(|a| subst(a, &s)).collect();
+            let inst_args = self.subst_all(rargs, s);
             let rname = self.concepts.name(*rc);
             let child = self.plan_concept(*rc, rname, &inst_args, plan, shared, reused);
             tree_size = tree_size.saturating_add(child.tree_size);
@@ -947,15 +953,15 @@ impl Checker {
     fn dict_ty(&mut self, plan: &DictPlan, span: Span) -> Result<system_f::Ty, CheckError> {
         self.charge_plan_node()
             .map_err(|x| exhausted_err(x, "check", span))?;
-        let info = self.concepts.get(plan.concept).clone();
-        let s = self.instantiation_subst(&info, &plan.args);
+        let info = self.concepts.get(plan.concept);
+        let s = self.instantiation_subst(info, &plan.args);
+        let member_tys: Vec<TyId> = info.members.iter().map(|m| self.subst(m.ty, s)).collect();
         let mut items = Vec::new();
         for child in &plan.children {
             items.push(self.dict_ty(child, span)?);
         }
-        for m in &info.members {
-            let mty = subst(&m.ty, &s);
-            items.push(self.tr_ty(&mty, span)?);
+        for mty in member_tys {
+            items.push(self.tr_ty(mty, span)?);
         }
         Ok(system_f::Ty::Tuple(items))
     }
@@ -977,7 +983,7 @@ impl Checker {
     /// registers proxy model entries for the translation of the body.
     fn enter_where(
         &mut self,
-        constraints: &[RConstraint],
+        constraints: &[CtId],
         register_models: bool,
         span: Span,
     ) -> Result<WhereScope, CheckError> {
@@ -995,7 +1001,7 @@ impl Checker {
 
     fn enter_where_inner(
         &mut self,
-        constraints: &[RConstraint],
+        constraints: &[CtId],
         register_models: bool,
         span: Span,
     ) -> Result<WhereScope, CheckError> {
@@ -1017,15 +1023,10 @@ impl Checker {
             let fresh = self.names.fresh(slot.name);
             self.ty_vars.push((fresh, None));
             assoc_binders.push(fresh);
-            let proj = RTy::Assoc {
-                concept: slot.concept,
-                concept_name: slot.concept_name,
-                args: slot.args.clone(),
-                name: slot.name,
-            };
-            self.teq.assert_eq(&RTy::Var(fresh), &proj);
+            let var = self.types().var(fresh);
+            self.teq.assert_eq(var, slot.proj);
         }
-        for (a, b) in plan
+        for &(a, b) in plan
             .concept_equalities
             .iter()
             .chain(&plan.same_constraints)
@@ -1060,13 +1061,13 @@ impl Checker {
     ) -> Result<(), CheckError> {
         self.charge_plan_node()
             .map_err(|x| exhausted_err(x, "check", span))?;
-        let info = self.concepts.get(plan.concept).clone();
+        let info = self.concepts.get(plan.concept);
         if self.tracer.is_enabled() {
             self.tracer.instant(
                 "where_proxy",
                 vec![
                     ("concept", info.name.to_string().into()),
-                    ("args", Self::render_args(&plan.args).into()),
+                    ("args", self.render_args(&plan.args).into()),
                     ("dict", dict.to_string().into()),
                     ("path", Self::render_path(&path).into()),
                 ],
@@ -1079,17 +1080,7 @@ impl Checker {
         let assoc = info
             .assoc_types
             .iter()
-            .map(|&a| {
-                (
-                    a,
-                    RTy::Assoc {
-                        concept: plan.concept,
-                        concept_name: info.name,
-                        args: plan.args.clone(),
-                        name: a,
-                    },
-                )
-            })
+            .map(|&a| (a, self.types().assoc(plan.concept, info.name, &plan.args, a)))
             .collect();
         self.push_model(ModelEntry {
             concept: plan.concept,
@@ -1114,25 +1105,25 @@ impl Checker {
     /// Semantic type equality: syntactic equality, declared same-type
     /// equalities (congruence closure), and associated-type normalization
     /// through parameterized models.
-    pub fn types_equal(&mut self, a: &RTy, b: &RTy) -> bool {
+    fn types_equal(&mut self, a: TyId, b: TyId) -> bool {
         if a == b {
             return true;
         }
         let na = self.norm(a);
         let nb = self.norm(b);
-        na == nb || self.teq.eq(&na, &nb)
+        na == nb || self.teq.eq(na, nb)
     }
 
     /// Rewrites associated-type projections that are resolvable through
     /// *parameterized* models (ordinary models assert equalities into the
     /// congruence instead, so `TypeEq` handles them).
-    fn norm(&mut self, ty: &RTy) -> RTy {
+    fn norm(&mut self, ty: TyId) -> TyId {
         // Fast path: only associated-type projections can be rewritten.
-        if !ty.has_assoc() {
-            return ty.clone();
+        if !self.types().has_assoc(ty) {
+            return ty;
         }
         if self.busy > LOOKUP_DEPTH_LIMIT {
-            return ty.clone();
+            return ty;
         }
         self.busy += 1;
         let out = self.norm_inner(ty);
@@ -1140,43 +1131,42 @@ impl Checker {
         out
     }
 
-    fn norm_inner(&mut self, ty: &RTy) -> RTy {
-        match ty {
-            RTy::Var(_) | RTy::Int | RTy::Bool => ty.clone(),
-            RTy::List(t) => RTy::List(Box::new(self.norm(t))),
-            RTy::Fn(ps, r) => RTy::Fn(
-                ps.iter().map(|p| self.norm(p)).collect(),
-                Box::new(self.norm(r)),
-            ),
-            RTy::Forall {
+    fn norm_inner(&mut self, ty: TyId) -> TyId {
+        let node = match self.types().node(ty) {
+            TyNode::Var(_) | TyNode::Int | TyNode::Bool => return ty,
+            TyNode::List(t) => TyNode::List(self.norm(t)),
+            TyNode::Fn(ps, r) => {
+                let ps = ps.iter().map(|&p| self.norm(p)).collect();
+                TyNode::Fn(ps, self.norm(r))
+            }
+            TyNode::Forall {
                 vars,
                 constraints,
                 body,
-            } => RTy::Forall {
-                vars: vars.clone(),
-                constraints: constraints.clone(),
-                body: Box::new(self.norm(body)),
+            } => TyNode::Forall {
+                vars,
+                constraints,
+                body: self.norm(body),
             },
-            RTy::Assoc {
+            TyNode::Assoc {
                 concept,
                 concept_name,
                 args,
                 name,
             } => {
-                let nargs: Vec<RTy> = args.iter().map(|a| self.norm(a)).collect();
-                if let Some(assignment) =
-                    self.param_assoc_assignment(*concept, &nargs, *name)
-                {
-                    return self.norm(&assignment);
+                let nargs: Vec<TyId> = args.iter().map(|&a| self.norm(a)).collect();
+                if let Some(assignment) = self.param_assoc_assignment(concept, &nargs, name) {
+                    return self.norm(assignment);
                 }
-                RTy::Assoc {
-                    concept: *concept,
-                    concept_name: *concept_name,
-                    args: nargs,
-                    name: *name,
+                TyNode::Assoc {
+                    concept,
+                    concept_name,
+                    args: nargs.into(),
+                    name,
                 }
             }
-        }
+        };
+        self.types().mk(node)
     }
 
     /// If a *parameterized* model in scope matches `C<args>`, returns its
@@ -1184,11 +1174,11 @@ impl Checker {
     fn param_assoc_assignment(
         &mut self,
         cid: ConceptId,
-        args: &[RTy],
+        args: &[TyId],
         name: Symbol,
-    ) -> Option<RTy> {
+    ) -> Option<TyId> {
         let prune = self.head_prune_ok();
-        let qhead = head_key(args);
+        let qhead = head_key(self.types(), args);
         // Only parameterized models can assign here, so the walk covers
         // their index alone; the cheap tests run by reference and a
         // skipped entry is never cloned.
@@ -1212,26 +1202,23 @@ impl Checker {
             let Some(sigma) = self.match_entry(&entry, args) else {
                 continue;
             };
+            let sid = self.types().subst_id(&sigma);
             // Constraints must be satisfiable for the match to count.
-            if !self.param_constraints_hold(&entry, &sigma) {
+            if !self.param_constraints_hold(&entry, sid) {
                 continue;
             }
-            if let Some((_, t)) = entry.assoc.iter().find(|(n, _)| *n == name) {
-                return Some(subst(t, &sigma));
+            if let Some(&(_, t)) = entry.assoc.iter().find(|(n, _)| *n == name) {
+                return Some(self.subst(t, sid));
             }
         }
         None
     }
 
-    fn param_constraints_hold(
-        &mut self,
-        entry: &ModelEntry,
-        sigma: &HashMap<Symbol, RTy>,
-    ) -> bool {
-        for c in entry.constraints.clone() {
-            match c {
-                RConstraint::Model { concept, args, .. } => {
-                    let inst: Vec<RTy> = args.iter().map(|a| subst(a, sigma)).collect();
+    fn param_constraints_hold(&mut self, entry: &ModelEntry, sid: SubstId) -> bool {
+        for &c in &entry.constraints {
+            match self.types().constraint_node(c) {
+                CtNode::Model { concept, args, .. } => {
+                    let inst = self.subst_all(&args, sid);
                     if self
                         .resolve_model_at(concept, &inst, false, "constraint")
                         .is_none()
@@ -1239,9 +1226,9 @@ impl Checker {
                         return false;
                     }
                 }
-                RConstraint::SameTy(a, b) => {
-                    let (ia, ib) = (subst(&a, sigma), subst(&b, sigma));
-                    if !self.types_equal(&ia, &ib) {
+                CtNode::SameTy(a, b) => {
+                    let (ia, ib) = (self.subst(a, sid), self.subst(b, sid));
+                    if !self.types_equal(ia, ib) {
                         return false;
                     }
                 }
@@ -1252,18 +1239,14 @@ impl Checker {
 
     /// Matches a model entry's argument patterns against concrete
     /// arguments, producing the parameter substitution.
-    fn match_entry(
-        &mut self,
-        entry: &ModelEntry,
-        args: &[RTy],
-    ) -> Option<HashMap<Symbol, RTy>> {
-        let mut sigma = HashMap::new();
-        for (pat, tgt) in entry.args.iter().zip(args) {
+    fn match_entry(&mut self, entry: &ModelEntry, args: &[TyId]) -> Option<Sigma> {
+        let mut sigma = Sigma::new();
+        for (&pat, &tgt) in entry.args.iter().zip(args) {
             if !self.match_ty(pat, tgt, &entry.params, &mut sigma) {
                 return None;
             }
         }
-        if entry.params.iter().all(|p| sigma.contains_key(p)) {
+        if entry.params.iter().all(|&p| bound_in(&sigma, p).is_some()) {
             Some(sigma)
         } else {
             None
@@ -1272,19 +1255,13 @@ impl Checker {
 
     /// One-way matching of a pattern (open in `params`) against a target
     /// type, modulo declared equalities on the target side.
-    fn match_ty(
-        &mut self,
-        pat: &RTy,
-        tgt: &RTy,
-        params: &[Symbol],
-        sigma: &mut HashMap<Symbol, RTy>,
-    ) -> bool {
-        if let RTy::Var(p) = pat {
-            if params.contains(p) {
-                if let Some(bound) = sigma.get(p).cloned() {
-                    return self.types_equal(&bound, tgt);
+    fn match_ty(&mut self, pat: TyId, tgt: TyId, params: &[Symbol], sigma: &mut Sigma) -> bool {
+        if let TyNode::Var(p) = self.types().node(pat) {
+            if params.contains(&p) {
+                if let Some(bound) = bound_in(sigma, p) {
+                    return self.types_equal(bound, tgt);
                 }
-                sigma.insert(*p, tgt.clone());
+                sigma.push((p, tgt));
                 return true;
             }
         }
@@ -1295,11 +1272,11 @@ impl Checker {
         // Retry through the target's equivalence class (e.g. a type
         // variable declared equal to `list int` matching pattern `list t`).
         for m in self.teq.class_members(tgt) {
-            if m == *tgt {
+            if m == tgt {
                 continue;
             }
             *sigma = snapshot.clone();
-            if self.match_structural(pat, &m, params, sigma) {
+            if self.match_structural(pat, m, params, sigma) {
                 return true;
             }
         }
@@ -1309,31 +1286,31 @@ impl Checker {
 
     fn match_structural(
         &mut self,
-        pat: &RTy,
-        tgt: &RTy,
+        pat: TyId,
+        tgt: TyId,
         params: &[Symbol],
-        sigma: &mut HashMap<Symbol, RTy>,
+        sigma: &mut Sigma,
     ) -> bool {
-        match (pat, tgt) {
-            (RTy::Int, RTy::Int) | (RTy::Bool, RTy::Bool) => true,
-            (RTy::Var(a), RTy::Var(b)) => a == b,
-            (RTy::List(x), RTy::List(y)) => self.match_ty(x, y, params, sigma),
-            (RTy::Fn(ps, r), RTy::Fn(qs, s)) => {
+        match (self.types().node(pat), self.types().node(tgt)) {
+            (TyNode::Int, TyNode::Int) | (TyNode::Bool, TyNode::Bool) => true,
+            (TyNode::Var(a), TyNode::Var(b)) => a == b,
+            (TyNode::List(x), TyNode::List(y)) => self.match_ty(x, y, params, sigma),
+            (TyNode::Fn(ps, r), TyNode::Fn(qs, s)) => {
                 ps.len() == qs.len()
                     && ps
                         .iter()
-                        .zip(qs)
-                        .all(|(p, q)| self.match_ty(p, q, params, sigma))
+                        .zip(qs.iter())
+                        .all(|(&p, &q)| self.match_ty(p, q, params, sigma))
                     && self.match_ty(r, s, params, sigma)
             }
             (
-                RTy::Assoc {
+                TyNode::Assoc {
                     concept: ca,
                     args: aa,
                     name: na,
                     ..
                 },
-                RTy::Assoc {
+                TyNode::Assoc {
                     concept: cb,
                     args: ab,
                     name: nb,
@@ -1345,14 +1322,13 @@ impl Checker {
                     && aa.len() == ab.len()
                     && aa
                         .iter()
-                        .zip(ab)
-                        .all(|(x, y)| self.match_ty(x, y, params, sigma))
+                        .zip(ab.iter())
+                        .all(|(&x, &y)| self.match_ty(x, y, params, sigma))
             }
-            (RTy::Forall { .. }, _) => {
+            (TyNode::Forall { .. }, _) => {
                 // Quantified patterns only match when closed w.r.t. the
                 // parameters (no higher-order matching).
-                let fvs = pat.free_vars();
-                if fvs.iter().any(|v| params.contains(v)) {
+                if self.types().free_vars(pat).iter().any(|v| params.contains(v)) {
                     return false;
                 }
                 self.types_equal(pat, tgt)
@@ -1365,24 +1341,14 @@ impl Checker {
     /// (newest first). Ordinary models match via type equality; a
     /// parameterized model matches if its patterns match and its own
     /// constraints resolve recursively. Under-construction entries are
-    /// only returned when `allow_uc`.
-    pub fn resolve_model(
-        &mut self,
-        cid: ConceptId,
-        args: &[RTy],
-        allow_uc: bool,
-    ) -> Option<ResolvedModel> {
-        self.resolve_model_at(cid, args, allow_uc, "query")
-    }
-
-    /// [`Checker::resolve_model`] with a `site` tag describing *why* the
+    /// only returned when `allow_uc`. The `site` tag says *why* the
     /// lookup happened (`instantiate`, `model_decl`, `member`,
-    /// `constraint`, `query`), carried on the emitted trace events so
-    /// tooling can compare like-for-like decision sequences across lanes.
+    /// `constraint`); the trace events carry it so tooling can compare
+    /// like-for-like decision sequences across lanes.
     fn resolve_model_at(
         &mut self,
         cid: ConceptId,
-        args: &[RTy],
+        args: &[TyId],
         allow_uc: bool,
         site: &'static str,
     ) -> Option<ResolvedModel> {
@@ -1418,9 +1384,7 @@ impl Checker {
         // injection disable the memo so event streams and fault visit
         // counts stay complete.
         let memo_key = if site == "constraint" && !self.tracer.is_enabled() && !fault::armed() {
-            let interner = self.teq.interner();
-            let key_args: Vec<TyId> = args.iter().map(|a| interner.intern(a)).collect();
-            Some((cid, key_args, allow_uc, self.busy))
+            Some((cid, args.to_vec(), allow_uc, self.busy))
         } else {
             None
         };
@@ -1438,13 +1402,13 @@ impl Checker {
         let sp = self.tracer.begin_with("model_resolve", || {
             vec![
                 ("concept", self.concepts.name(cid).to_string().into()),
-                ("args", Self::render_args(args).into()),
+                ("args", self.render_args(args).into()),
                 ("site", site.into()),
                 ("scope_depth", self.models.len().into()),
             ]
         });
         self.busy += 1;
-        let out = self.resolve_model_inner(cid, args, allow_uc, site, sp);
+        let out = self.resolve_model_inner(cid, args, allow_uc, site);
         self.busy -= 1;
         match &out {
             Some(_) => self.stats.model_hits += 1,
@@ -1481,7 +1445,7 @@ impl Checker {
 
     /// Emits the `model_selected` trace event: scope entry `index` won the
     /// lookup for `C<nargs>` performed at `site`.
-    fn trace_selected(&self, entry: &ModelEntry, index: usize, nargs: &[RTy], site: &'static str) {
+    fn trace_selected(&self, entry: &ModelEntry, index: usize, nargs: &[TyId], site: &'static str) {
         if !self.tracer.is_enabled() {
             return;
         }
@@ -1489,8 +1453,8 @@ impl Checker {
             "model_selected",
             vec![
                 ("concept", self.concepts.name(entry.concept).to_string().into()),
-                ("args", Self::render_args(nargs).into()),
-                ("head", Self::render_args(&entry.args).into()),
+                ("args", self.render_args(nargs).into()),
+                ("head", self.render_args(&entry.args).into()),
                 ("site", site.into()),
                 ("index", index.into()),
                 ("dict", entry.dict.to_string().into()),
@@ -1506,7 +1470,7 @@ impl Checker {
     /// Emits the `same_type` trace event for a discharged (or failed)
     /// same-type constraint, including the minimal chain of asserted
     /// equalities that proves it when one exists.
-    fn trace_same_type(&mut self, a: &RTy, b: &RTy, holds: bool, site: &'static str) {
+    fn trace_same_type(&mut self, a: TyId, b: TyId, holds: bool, site: &'static str) {
         if !self.tracer.is_enabled() {
             return;
         }
@@ -1515,7 +1479,7 @@ impl Checker {
                 Some(chain) if chain.is_empty() => "by normalization".to_string(),
                 Some(chain) => chain
                     .iter()
-                    .map(|(x, y)| format!("{x} = {y}"))
+                    .map(|&(x, y)| format!("{} = {}", self.rty(x), self.rty(y)))
                     .collect::<Vec<_>>()
                     .join("; "),
                 None => "by normalization".to_string(),
@@ -1526,8 +1490,8 @@ impl Checker {
         self.tracer.instant(
             "same_type",
             vec![
-                ("lhs", a.to_string().into()),
-                ("rhs", b.to_string().into()),
+                ("lhs", self.rty(a).to_string().into()),
+                ("rhs", self.rty(b).to_string().into()),
                 ("holds", u64::from(holds).into()),
                 ("site", site.into()),
                 ("proof", proof.into()),
@@ -1538,20 +1502,18 @@ impl Checker {
     fn resolve_model_inner(
         &mut self,
         cid: ConceptId,
-        args: &[RTy],
+        args: &[TyId],
         allow_uc: bool,
         site: &'static str,
-        sp: SpanId,
     ) -> Option<ResolvedModel> {
-        let _ = sp;
-        let nargs: Vec<RTy> = args.iter().map(|a| self.norm(a)).collect();
+        let nargs: Vec<TyId> = args.iter().map(|&a| self.norm(a)).collect();
         // Snapshot of the concept's index bucket: nested resolution may
         // push models mid-scan, and the old full scan likewise iterated
         // over the scope length captured at loop entry.
         let bucket: Vec<(u32, HeadKey)> =
             self.model_index.get(&cid).cloned().unwrap_or_default();
         let prune = self.head_prune_ok();
-        let qhead = head_key(&nargs);
+        let qhead = head_key(self.types(), &nargs);
         for &(idx, ehead) in bucket.iter().rev() {
             let i = idx as usize;
             self.stats.candidates_scanned += 1;
@@ -1568,7 +1530,7 @@ impl Checker {
             self.tracer.instant_with("candidate", || {
                 vec![
                     ("index", i.into()),
-                    ("head", Self::render_args(&entry.args).into()),
+                    ("head", self.render_args(&entry.args).into()),
                     ("dict", entry.dict.to_string().into()),
                     ("parameterized", u64::from(!entry.params.is_empty()).into()),
                     ("proxy", u64::from(entry.is_proxy).into()),
@@ -1584,7 +1546,7 @@ impl Checker {
                     .args
                     .iter()
                     .zip(&nargs)
-                    .all(|(a, b)| self.types_equal(a, b));
+                    .all(|(&a, &b)| self.types_equal(a, b));
                 if !matches {
                     self.trace_rejected(i, "args_mismatch");
                     continue;
@@ -1596,9 +1558,7 @@ impl Checker {
                 self.trace_selected(&entry, i, &nargs, site);
                 return Some(ResolvedModel {
                     term,
-                    assoc: entry.assoc.clone(),
                     under_construction: entry.under_construction.clone(),
-                    concept: cid,
                 });
             }
             // Parameterized model.
@@ -1606,11 +1566,12 @@ impl Checker {
                 self.trace_rejected(i, "pattern_mismatch");
                 continue;
             };
+            let sid = self.types().subst_id(&sigma);
             let plan = self.where_plan(&entry.constraints);
             let mut dict_terms = Vec::with_capacity(plan.dicts.len());
             let mut ok = true;
             for dict in &plan.dicts {
-                let inst: Vec<RTy> = dict.args.iter().map(|a| subst(a, &sigma)).collect();
+                let inst = self.subst_all(&dict.args, sid);
                 match self.resolve_model_at(dict.concept, &inst, false, "constraint") {
                     Some(rm) if rm.under_construction.is_none() => dict_terms.push(rm.term),
                     _ => {
@@ -1623,9 +1584,9 @@ impl Checker {
                 self.trace_rejected(i, "constraint_unsatisfied");
                 continue;
             }
-            for (a, b) in &plan.same_constraints {
-                let (ia, ib) = (subst(a, &sigma), subst(b, &sigma));
-                if !self.types_equal(&ia, &ib) {
+            for &(a, b) in &plan.same_constraints {
+                let (ia, ib) = (self.subst(a, sid), self.subst(b, sid));
+                if !self.types_equal(ia, ib) {
                     ok = false;
                     break;
                 }
@@ -1638,13 +1599,7 @@ impl Checker {
                 self.trace_selected(&entry, i, &nargs, site);
                 return Some(ResolvedModel {
                     term: Term::Var(entry.dict),
-                    assoc: entry
-                        .assoc
-                        .iter()
-                        .map(|(n, t)| (*n, subst(t, &sigma)))
-                        .collect(),
                     under_construction: Some(locals),
-                    concept: cid,
                 });
             }
             // Instantiate the dictionary constructor: type arguments are
@@ -1654,18 +1609,17 @@ impl Checker {
             let span = Span::default();
             let mut ty_args = Vec::with_capacity(entry.params.len() + plan.assoc_slots.len());
             let mut translatable = true;
-            for p in &entry.params {
+            for &p in &entry.params {
                 // `match_entry` only succeeds when every parameter is
                 // bound, and declarations reject parameters absent from
                 // the head (`UnusedModelParam`), so `sigma` has `p`; an
                 // unbound parameter is treated as a non-match, not a
                 // panic.
-                let Some(arg) = sigma.get(p) else {
+                let Some(arg) = bound_in(&sigma, p) else {
                     translatable = false;
                     break;
                 };
-                let arg = arg.clone();
-                match self.tr_ty(&arg, span) {
+                match self.tr_ty(arg, span) {
                     Ok(t) => ty_args.push(t),
                     Err(_) => {
                         translatable = false;
@@ -1675,13 +1629,8 @@ impl Checker {
             }
             if translatable {
                 for slot in &plan.assoc_slots {
-                    let proj = RTy::Assoc {
-                        concept: slot.concept,
-                        concept_name: slot.concept_name,
-                        args: slot.args.iter().map(|a| subst(a, &sigma)).collect(),
-                        name: slot.name,
-                    };
-                    match self.tr_ty(&proj, span) {
+                    let proj = self.subst(slot.proj, sid);
+                    match self.tr_ty(proj, span) {
                         Ok(t) => ty_args.push(t),
                         Err(_) => {
                             translatable = false;
@@ -1699,17 +1648,10 @@ impl Checker {
             if !dict_terms.is_empty() {
                 term = Term::App(Box::new(term), dict_terms);
             }
-            let assoc = entry
-                .assoc
-                .iter()
-                .map(|(n, t)| (*n, subst(t, &sigma)))
-                .collect();
             self.trace_selected(&entry, i, &nargs, site);
             return Some(ResolvedModel {
                 term,
-                assoc,
                 under_construction: None,
-                concept: cid,
             });
         }
         None
@@ -1721,30 +1663,30 @@ impl Checker {
 
     /// Translates an F_G type to System F, mapping every type to the
     /// representative of its same-type equivalence class.
-    pub fn tr_ty(&mut self, ty: &RTy, span: Span) -> Result<system_f::Ty, CheckError> {
+    fn tr_ty(&mut self, ty: TyId, span: Span) -> Result<system_f::Ty, CheckError> {
         let normed = self.norm(ty);
-        let resolved = self.teq.resolve(&normed);
-        self.tr_resolved(&resolved, span)
+        let resolved = self.teq.resolve(normed);
+        self.tr_resolved(resolved, span)
     }
 
-    fn tr_resolved(&mut self, ty: &RTy, span: Span) -> Result<system_f::Ty, CheckError> {
-        match ty {
-            RTy::Var(v) => Ok(system_f::Ty::Var(*v)),
-            RTy::Int => Ok(system_f::Ty::Int),
-            RTy::Bool => Ok(system_f::Ty::Bool),
-            RTy::List(t) => Ok(system_f::Ty::List(Box::new(self.tr_resolved(t, span)?))),
-            RTy::Fn(ps, r) => Ok(system_f::Ty::Fn(
+    fn tr_resolved(&mut self, ty: TyId, span: Span) -> Result<system_f::Ty, CheckError> {
+        match self.types().node(ty) {
+            TyNode::Var(v) => Ok(system_f::Ty::Var(v)),
+            TyNode::Int => Ok(system_f::Ty::Int),
+            TyNode::Bool => Ok(system_f::Ty::Bool),
+            TyNode::List(t) => Ok(system_f::Ty::List(Box::new(self.tr_resolved(t, span)?))),
+            TyNode::Fn(ps, r) => Ok(system_f::Ty::Fn(
                 ps.iter()
-                    .map(|p| self.tr_resolved(p, span))
+                    .map(|&p| self.tr_resolved(p, span))
                     .collect::<Result<Vec<_>, _>>()?,
                 Box::new(self.tr_resolved(r, span)?),
             )),
-            RTy::Assoc { .. } => {
+            TyNode::Assoc { .. } => {
                 // `resolve` found no better representative: no model (or
                 // proxy) assignment for this projection is in scope.
-                self.err(ErrorKind::CannotResolveAssoc(ty.clone()), span)
+                self.err(ErrorKind::CannotResolveAssoc(self.rty(ty)), span)
             }
-            RTy::Forall {
+            TyNode::Forall {
                 vars,
                 constraints,
                 body,
@@ -1752,9 +1694,9 @@ impl Checker {
                 let saved = self.save();
                 let result = (|| {
                     self.ty_vars.extend(vars.iter().map(|v| (*v, None)));
-                    let scope = self.enter_where(constraints, false, span)?;
+                    let scope = self.enter_where(&constraints, false, span)?;
                     let body_ty = self.tr_ty(body, span)?;
-                    let mut binders = vars.clone();
+                    let mut binders = vars.to_vec();
                     binders.extend(scope.assoc_binders.iter().copied());
                     let inner = if scope.dict_tys.is_empty() {
                         body_ty
@@ -1778,19 +1720,18 @@ impl Checker {
     /// Returns the member's instantiated type and the projection path
     /// relative to the concept's dictionary.
     fn find_member(
-        &mut self,
+        &self,
         cid: ConceptId,
-        args: &[RTy],
+        args: &[TyId],
         member: Symbol,
-    ) -> Option<(RTy, Vec<usize>)> {
-        let info = self.concepts.get(cid).clone();
-        let s = self.instantiation_subst(&info, args);
+    ) -> Option<(TyId, Vec<usize>)> {
+        let info = self.concepts.get(cid);
+        let s = self.instantiation_subst(info, args);
         if let Some((idx, m)) = info.member(member) {
-            let ty = subst(&m.ty, &s);
-            return Some((ty, vec![info.member_slot_base() + idx]));
+            return Some((self.subst(m.ty, s), vec![info.member_slot_base() + idx]));
         }
         for (i, (rc, rargs)) in info.refines.iter().enumerate() {
-            let inst_args: Vec<RTy> = rargs.iter().map(|a| subst(a, &s)).collect();
+            let inst_args = self.subst_all(rargs, s);
             if let Some((ty, mut path)) = self.find_member(*rc, &inst_args, member) {
                 path.insert(0, i);
                 return Some((ty, path));
@@ -1804,10 +1745,10 @@ impl Checker {
         &mut self,
         cid: ConceptId,
         cname: Symbol,
-        args: &[RTy],
+        args: &[TyId],
         member: Symbol,
         span: Span,
-    ) -> Result<(RTy, Term), CheckError> {
+    ) -> Result<(TyId, Term), CheckError> {
         let Some(resolved) = self.resolve_model_at(cid, args, true, "member") else {
             // A miss caused by an exhausted budget (or an injected fault)
             // reports that cause, not a missing model.
@@ -1815,7 +1756,7 @@ impl Checker {
             return self.err(
                 ErrorKind::NoModel {
                     concept: cname,
-                    args: args.to_vec(),
+                    args: self.rtys(args),
                 },
                 span,
             );
@@ -1830,7 +1771,7 @@ impl Checker {
             );
         };
         if let Some(locals) = &resolved.under_construction {
-            let info = self.concepts.get(cid).clone();
+            let info = self.concepts.get(cid);
             if info.member(member).is_some() {
                 // Own member: must already have a local binding.
                 let Some((_, local)) = locals.iter().find(|(m, _)| *m == member) else {
@@ -1846,9 +1787,13 @@ impl Checker {
             }
             // Inherited member: access it through the refined concept's own
             // (complete) model instead of the dictionary being built.
-            let s = self.instantiation_subst(&info, args);
-            for (rc, rargs) in info.refines.clone() {
-                let inst_args: Vec<RTy> = rargs.iter().map(|a| subst(a, &s)).collect();
+            let s = self.instantiation_subst(info, args);
+            let refines: Vec<(ConceptId, Vec<TyId>)> = info
+                .refines
+                .iter()
+                .map(|(rc, rargs)| (*rc, self.subst_all(rargs, s)))
+                .collect();
+            for (rc, inst_args) in refines {
                 if self.find_member(rc, &inst_args, member).is_some() {
                     let rname = self.concepts.name(rc);
                     return self.access_member(rc, rname, &inst_args, member, span);
@@ -1874,7 +1819,7 @@ impl Checker {
     // ------------------------------------------------------------------
 
     /// Checks an expression, returning its type and translation.
-    pub fn check(&mut self, e: &Expr) -> Result<(RTy, Term), CheckError> {
+    fn check(&mut self, e: &Expr) -> Result<(TyId, Term), CheckError> {
         let (ty, term, _) = self.check_elab(e)?;
         Ok((ty, term))
     }
@@ -1883,7 +1828,7 @@ impl Checker {
     /// and the *elaborated* surface expression — the input with implicit
     /// instantiations made explicit (every inferred `e[τ̄]` inserted), so
     /// the direct interpreter can execute exactly what was typechecked.
-    pub fn check_elab(&mut self, e: &Expr) -> Result<(RTy, Term, Expr), CheckError> {
+    fn check_elab(&mut self, e: &Expr) -> Result<(TyId, Term, Expr), CheckError> {
         let budget = self.budget.clone();
         let _depth = visit(&budget, e.span)?;
         self.check_elab_rec(e)
@@ -1912,8 +1857,14 @@ impl Checker {
         checker.set_tracer(tracer);
         checker.set_budget(budget);
         let intern_base = self.intern_stats();
-        let checked = checker.check_elab(body).map(|(ty, term, elaborated)| Compiled {
-            ty,
+        // The arena charges its cc-term meter as types are built, and the
+        // last of them may be built after the last poll.
+        let checked = checker.check_elab(body).and_then(|out| {
+            checker.budget.ok().map_err(|x| exhausted_err(x, "check", body.span))?;
+            Ok(out)
+        });
+        let checked = checked.map(|(ty, term, elaborated)| Compiled {
+            ty: checker.rty(ty),
             term,
             elaborated,
             check_stats: checker.stats,
@@ -1969,7 +1920,7 @@ impl Checker {
         }
     }
 
-    fn check_elab_rec(&mut self, e: &Expr) -> Result<(RTy, Term, Expr), CheckError> {
+    fn check_elab_rec(&mut self, e: &Expr) -> Result<(TyId, Term, Expr), CheckError> {
         let span = e.span;
         match &e.kind {
             ExprKind::Var(x) => {
@@ -1978,16 +1929,16 @@ impl Checker {
                     .iter()
                     .rev()
                     .find(|(n, _)| n == x)
-                    .map(|(_, t)| t.clone())
+                    .map(|&(_, t)| t)
                     .ok_or_else(|| CheckError::new(ErrorKind::UnboundVar(*x), span))?;
                 Ok((ty, Term::Var(*x), e.clone()))
             }
-            ExprKind::IntLit(n) => Ok((RTy::Int, Term::IntLit(*n), e.clone())),
-            ExprKind::BoolLit(b) => Ok((RTy::Bool, Term::BoolLit(*b), e.clone())),
-            ExprKind::Prim(p) => Ok((prim_rty(*p), Term::Prim(*p), e.clone())),
+            ExprKind::IntLit(n) => Ok((self.types().int(), Term::IntLit(*n), e.clone())),
+            ExprKind::BoolLit(b) => Ok((self.types().bool(), Term::BoolLit(*b), e.clone())),
+            ExprKind::Prim(p) => Ok((prim_ty(self.types(), *p), Term::Prim(*p), e.clone())),
             ExprKind::App(f, args) => {
                 let (fty, fterm, felab) = self.check_elab(f)?;
-                if let Some((params, ret)) = self.as_fn(&fty) {
+                if let Some((params, ret)) = self.as_fn(fty) {
                     // Ordinary application.
                     if params.len() != args.len() {
                         return self.err(
@@ -2001,13 +1952,13 @@ impl Checker {
                     }
                     let mut arg_terms = Vec::with_capacity(args.len());
                     let mut arg_elabs = Vec::with_capacity(args.len());
-                    for (param, arg) in params.iter().zip(args) {
+                    for (&param, arg) in params.iter().zip(args) {
                         let (aty, aterm, aelab) = self.check_elab(arg)?;
-                        if !self.types_equal(param, &aty) {
+                        if !self.types_equal(param, aty) {
                             return self.err(
                                 ErrorKind::ArgMismatch {
-                                    expected: param.clone(),
-                                    found: aty,
+                                    expected: self.rty(param),
+                                    found: self.rty(aty),
                                 },
                                 arg.span,
                             );
@@ -2028,11 +1979,11 @@ impl Checker {
                 // directly to value arguments — infer monomorphic type
                 // arguments by matching the parameter types against the
                 // argument types (Odersky–Läufer restriction [46]).
-                let Some((vars, constraints, body)) = self.as_forall(&fty) else {
-                    return self.err(ErrorKind::NotAFunction(fty), span);
+                let Some((vars, constraints, body)) = self.as_forall(fty) else {
+                    return self.err(ErrorKind::NotAFunction(self.rty(fty)), span);
                 };
-                let Some((params, _)) = self.as_fn(&body) else {
-                    return self.err(ErrorKind::NotAFunction(fty), span);
+                let Some((params, _)) = self.as_fn(body) else {
+                    return self.err(ErrorKind::NotAFunction(self.rty(fty)), span);
                 };
                 if params.len() != args.len() {
                     return self.err(
@@ -2053,8 +2004,8 @@ impl Checker {
                     arg_terms.push(aterm);
                     arg_elabs.push(aelab);
                 }
-                let mut sigma: HashMap<Symbol, RTy> = HashMap::new();
-                for (param, aty) in params.iter().zip(&arg_tys) {
+                let mut sigma = Sigma::new();
+                for (&param, &aty) in params.iter().zip(&arg_tys) {
                     // Best-effort matching; the instantiated signature is
                     // re-verified below, so partial matches are safe.
                     let _ = self.match_ty(param, aty, &vars, &mut sigma);
@@ -2062,7 +2013,7 @@ impl Checker {
                 let unbound: Vec<Symbol> = vars
                     .iter()
                     .copied()
-                    .filter(|v| !sigma.contains_key(v))
+                    .filter(|&v| bound_in(&sigma, v).is_none())
                     .collect();
                 if !unbound.is_empty() {
                     return self.err(
@@ -2070,25 +2021,26 @@ impl Checker {
                         span,
                     );
                 }
-                let rargs: Vec<RTy> = vars.iter().map(|v| sigma[v].clone()).collect();
+                let rargs: Vec<TyId> =
+                    vars.iter().filter_map(|&v| bound_in(&sigma, v)).collect();
                 let (ity, iterm) =
-                    self.instantiate(fterm, &vars, &constraints, &body, &rargs, span)?;
-                let Some((iparams, iret)) = self.as_fn(&ity) else {
-                    return self.err(ErrorKind::NotAFunction(ity), span);
+                    self.instantiate(fterm, &vars, &constraints, body, &rargs, span)?;
+                let Some((iparams, iret)) = self.as_fn(ity) else {
+                    return self.err(ErrorKind::NotAFunction(self.rty(ity)), span);
                 };
-                for ((iparam, aty), arg) in iparams.iter().zip(&arg_tys).zip(args) {
+                for ((&iparam, &aty), arg) in iparams.iter().zip(&arg_tys).zip(args) {
                     if !self.types_equal(iparam, aty) {
                         return self.err(
                             ErrorKind::ArgMismatch {
-                                expected: iparam.clone(),
-                                found: aty.clone(),
+                                expected: self.rty(iparam),
+                                found: self.rty(aty),
                             },
                             arg.span,
                         );
                     }
                 }
                 let surface_args: Vec<FgTy> =
-                    rargs.iter().map(|t| self.rty_to_surface(t)).collect();
+                    rargs.iter().map(|&t| self.ty_to_surface(t)).collect();
                 let felab = Expr::spanned(
                     ExprKind::TyApp(Box::new(felab), surface_args),
                     span,
@@ -2108,19 +2060,17 @@ impl Checker {
                 let mut sf_params = Vec::with_capacity(params.len());
                 for (x, t) in params {
                     let rt = self.resolve_ty(t, span)?;
-                    sf_params.push((*x, self.tr_ty(&rt, span)?));
+                    sf_params.push((*x, self.tr_ty(rt, span)?));
                     rparams.push((*x, rt));
                 }
                 let n = self.vars.len();
-                self.vars.extend(rparams.iter().cloned());
+                self.vars.extend(rparams.iter().copied());
                 let result = self.check_elab(body);
                 self.vars.truncate(n);
                 let (bty, bterm, belab) = result?;
+                let param_tys: Vec<TyId> = rparams.iter().map(|&(_, t)| t).collect();
                 Ok((
-                    RTy::Fn(
-                        rparams.into_iter().map(|(_, t)| t).collect(),
-                        Box::new(bty),
-                    ),
+                    self.types().func(&param_tys, bty),
                     Term::Lam(sf_params, Box::new(bterm)),
                     Expr::spanned(
                         ExprKind::Lam(params.clone(), Box::new(belab)),
@@ -2158,12 +2108,13 @@ impl Checker {
                             Box::new(bterm),
                         )
                     };
+                    let ty = self.types().mk(TyNode::Forall {
+                        vars: Rc::from(vars.as_slice()),
+                        constraints: rcs.into(),
+                        body: bty,
+                    });
                     Ok((
-                        RTy::Forall {
-                            vars: vars.clone(),
-                            constraints: rcs,
-                            body: Box::new(bty),
-                        },
+                        ty,
                         Term::TyAbs(binders, Box::new(inner)),
                         Expr::spanned(
                             ExprKind::TyAbs {
@@ -2180,8 +2131,8 @@ impl Checker {
             }
             ExprKind::TyApp(f, args) => {
                 let (fty, fterm, felab) = self.check_elab(f)?;
-                let Some((vars, constraints, body)) = self.as_forall(&fty) else {
-                    return self.err(ErrorKind::NotAForall(fty), span);
+                let Some((vars, constraints, body)) = self.as_forall(fty) else {
+                    return self.err(ErrorKind::NotAForall(self.rty(fty)), span);
                 };
                 if vars.len() != args.len() {
                     return self.err(
@@ -2198,7 +2149,7 @@ impl Checker {
                     .map(|a| self.resolve_ty(a, span))
                     .collect::<Result<Vec<_>, _>>()?;
                 let (ty, term) =
-                    self.instantiate(fterm, &vars, &constraints, &body, &rargs, span)?;
+                    self.instantiate(fterm, &vars, &constraints, body, &rargs, span)?;
                 Ok((
                     ty,
                     term,
@@ -2221,13 +2172,14 @@ impl Checker {
             }
             ExprKind::If(c, t, f) => {
                 let (cty, cterm, celab) = self.check_elab(c)?;
-                if !self.types_equal(&cty, &RTy::Bool) {
-                    return self.err(ErrorKind::CondNotBool(cty), c.span);
+                let boolean = self.types().bool();
+                if !self.types_equal(cty, boolean) {
+                    return self.err(ErrorKind::CondNotBool(self.rty(cty)), c.span);
                 }
                 let (tty, tterm, telab) = self.check_elab(t)?;
                 let (fty, fterm, felab) = self.check_elab(f)?;
-                if !self.types_equal(&tty, &fty) {
-                    return self.err(ErrorKind::BranchMismatch(tty, fty), span);
+                if !self.types_equal(tty, fty) {
+                    return self.err(ErrorKind::BranchMismatch(self.rty(tty), self.rty(fty)), span);
                 }
                 Ok((
                     tty,
@@ -2240,20 +2192,20 @@ impl Checker {
             }
             ExprKind::Fix(x, ty, body) => {
                 let rty = self.resolve_ty(ty, span)?;
-                self.vars.push((*x, rty.clone()));
+                self.vars.push((*x, rty));
                 let result = self.check_elab(body);
                 self.vars.pop();
                 let (bty, bterm, belab) = result?;
-                if !self.types_equal(&bty, &rty) {
+                if !self.types_equal(bty, rty) {
                     return self.err(
                         ErrorKind::FixMismatch {
-                            annotated: rty,
-                            found: bty,
+                            annotated: self.rty(rty),
+                            found: self.rty(bty),
                         },
                         span,
                     );
                 }
-                let sf_ty = self.tr_ty(&rty, span)?;
+                let sf_ty = self.tr_ty(rty, span)?;
                 Ok((
                     rty,
                     Term::Fix(*x, sf_ty, Box::new(bterm)),
@@ -2301,14 +2253,14 @@ impl Checker {
         &mut self,
         fterm: Term,
         vars: &[Symbol],
-        constraints: &[RConstraint],
-        body: &RTy,
-        rargs: &[RTy],
+        constraints: &[CtId],
+        body: TyId,
+        rargs: &[TyId],
         span: Span,
-    ) -> Result<(RTy, Term), CheckError> {
+    ) -> Result<(TyId, Term), CheckError> {
         let sp = self.tracer.begin_with("instantiate", || {
             vec![
-                ("args", Self::render_args(rargs).into()),
+                ("args", self.render_args(rargs).into()),
                 ("span_start", span.start.into()),
                 ("span_end", span.end.into()),
             ]
@@ -2328,32 +2280,32 @@ impl Checker {
         &mut self,
         fterm: Term,
         vars: &[Symbol],
-        constraints: &[RConstraint],
-        body: &RTy,
-        rargs: &[RTy],
+        constraints: &[CtId],
+        body: TyId,
+        rargs: &[TyId],
         span: Span,
-    ) -> Result<(RTy, Term), CheckError> {
-        let sigma: HashMap<Symbol, RTy> =
-            vars.iter().copied().zip(rargs.iter().cloned()).collect();
+    ) -> Result<(TyId, Term), CheckError> {
+        let sigma: Sigma = vars.iter().copied().zip(rargs.iter().copied()).collect();
+        let sid = self.types().subst_id(&sigma);
         // The plan is computed on the *uninstantiated* constraints so the
         // slot order matches the abstraction's translation.
         let plan = self.where_plan(constraints);
         // A plan cut short by the budget must not read as a violation.
         self.budget.ok().map_err(|x| exhausted_err(x, "check", span))?;
         // Same-type constraints must hold at the instantiation.
-        for (a, b) in &plan.same_constraints {
-            let ia = subst(a, &sigma);
-            let ib = subst(b, &sigma);
-            let holds = self.types_equal(&ia, &ib);
-            self.trace_same_type(&ia, &ib, holds, "instantiate");
+        for &(a, b) in &plan.same_constraints {
+            let ia = self.subst(a, sid);
+            let ib = self.subst(b, sid);
+            let holds = self.types_equal(ia, ib);
+            self.trace_same_type(ia, ib, holds, "instantiate");
             if !holds {
-                return self.err(ErrorKind::SameTypeViolation(ia, ib), span);
+                return self.err(ErrorKind::SameTypeViolation(self.rty(ia), self.rty(ib)), span);
             }
         }
         // Dictionary arguments from the models in scope.
         let mut dict_terms = Vec::with_capacity(plan.dicts.len());
         for dict in &plan.dicts {
-            let inst_args: Vec<RTy> = dict.args.iter().map(|a| subst(a, &sigma)).collect();
+            let inst_args = self.subst_all(&dict.args, sid);
             let Some(resolved) =
                 self.resolve_model_at(dict.concept, &inst_args, false, "instantiate")
             else {
@@ -2361,7 +2313,7 @@ impl Checker {
                 return self.err(
                     ErrorKind::NoModel {
                         concept: dict.concept_name,
-                        args: inst_args,
+                        args: self.rtys(&inst_args),
                     },
                     span,
                 );
@@ -2371,110 +2323,96 @@ impl Checker {
         // Type arguments: the written ones plus the resolved associated
         // types, in plan order.
         let mut sf_ty_args = Vec::with_capacity(rargs.len() + plan.assoc_slots.len());
-        for a in rargs {
+        for &a in rargs {
             sf_ty_args.push(self.tr_ty(a, span)?);
         }
         for slot in &plan.assoc_slots {
-            let proj = RTy::Assoc {
-                concept: slot.concept,
-                concept_name: slot.concept_name,
-                args: slot.args.iter().map(|a| subst(a, &sigma)).collect(),
-                name: slot.name,
-            };
-            sf_ty_args.push(self.tr_ty(&proj, span)?);
+            let proj = self.subst(slot.proj, sid);
+            sf_ty_args.push(self.tr_ty(proj, span)?);
         }
         let mut term = Term::TyApp(Box::new(fterm), sf_ty_args);
         if !dict_terms.is_empty() {
             term = Term::App(Box::new(term), dict_terms);
         }
-        Ok((subst(body, &sigma), term))
+        Ok((self.subst(body, sid), term))
     }
 
-    /// Renders a resolved type back to surface syntax (used when inserting
+    /// Renders a type back to surface syntax (used when inserting
     /// inferred type arguments into the elaborated program).
-    fn rty_to_surface(&self, t: &RTy) -> FgTy {
-        match t {
-            RTy::Var(v) => FgTy::Var(*v),
-            RTy::Int => FgTy::Int,
-            RTy::Bool => FgTy::Bool,
-            RTy::List(x) => FgTy::List(Box::new(self.rty_to_surface(x))),
-            RTy::Fn(ps, r) => FgTy::Fn(
-                ps.iter().map(|p| self.rty_to_surface(p)).collect(),
-                Box::new(self.rty_to_surface(r)),
+    fn ty_to_surface(&self, t: TyId) -> FgTy {
+        match self.types().node(t) {
+            TyNode::Var(v) => FgTy::Var(v),
+            TyNode::Int => FgTy::Int,
+            TyNode::Bool => FgTy::Bool,
+            TyNode::List(x) => FgTy::List(Box::new(self.ty_to_surface(x))),
+            TyNode::Fn(ps, r) => FgTy::Fn(
+                ps.iter().map(|&p| self.ty_to_surface(p)).collect(),
+                Box::new(self.ty_to_surface(r)),
             ),
-            RTy::Forall {
+            TyNode::Forall {
                 vars,
                 constraints,
                 body,
             } => FgTy::Forall {
-                vars: vars.clone(),
+                vars: vars.to_vec(),
                 constraints: constraints
                     .iter()
-                    .map(|c| match c {
-                        RConstraint::Model {
+                    .map(|&c| match self.types().constraint_node(c) {
+                        CtNode::Model {
                             concept_name, args, ..
                         } => Constraint::Model {
-                            concept: *concept_name,
-                            args: args.iter().map(|a| self.rty_to_surface(a)).collect(),
+                            concept: concept_name,
+                            args: args.iter().map(|&a| self.ty_to_surface(a)).collect(),
                         },
-                        RConstraint::SameTy(a, b) => Constraint::SameTy(
-                            self.rty_to_surface(a),
-                            self.rty_to_surface(b),
-                        ),
+                        CtNode::SameTy(a, b) => {
+                            Constraint::SameTy(self.ty_to_surface(a), self.ty_to_surface(b))
+                        }
                     })
                     .collect(),
-                body: Box::new(self.rty_to_surface(body)),
+                body: Box::new(self.ty_to_surface(body)),
             },
-            RTy::Assoc {
+            TyNode::Assoc {
                 concept_name,
                 args,
                 name,
                 ..
             } => FgTy::Assoc {
-                concept: *concept_name,
-                args: args.iter().map(|a| self.rty_to_surface(a)).collect(),
-                name: *name,
+                concept: concept_name,
+                args: args.iter().map(|&a| self.ty_to_surface(a)).collect(),
+                name,
             },
         }
     }
 
     /// Views a type as a function type, searching its same-type equivalence
     /// class if the type itself is not syntactically a function.
-    fn as_fn(&mut self, ty: &RTy) -> Option<(Vec<RTy>, RTy)> {
-        let ty = &self.norm(ty);
-        if let RTy::Fn(ps, r) = ty {
-            return Some((ps.clone(), (**r).clone()));
+    fn as_fn(&mut self, ty: TyId) -> Option<(Rc<[TyId]>, TyId)> {
+        let ty = self.norm(ty);
+        if let TyNode::Fn(ps, r) = self.types().node(ty) {
+            return Some((ps, r));
         }
-        for m in self.teq.class_members(ty) {
-            if let RTy::Fn(ps, r) = m {
-                return Some((ps, *r));
-            }
-        }
-        None
+        self.teq.class_members(ty).into_iter().find_map(|m| match self.types().node(m) {
+            TyNode::Fn(ps, r) => Some((ps, r)),
+            _ => None,
+        })
     }
 
     /// Views a type as a universal type, searching its equivalence class.
-    fn as_forall(&mut self, ty: &RTy) -> Option<(Vec<Symbol>, Vec<RConstraint>, RTy)> {
-        let ty = &self.norm(ty);
-        if let RTy::Forall {
-            vars,
-            constraints,
-            body,
-        } = ty
-        {
-            return Some((vars.clone(), constraints.clone(), (**body).clone()));
-        }
-        for m in self.teq.class_members(ty) {
-            if let RTy::Forall {
+    fn as_forall(&mut self, ty: TyId) -> Option<ForallParts> {
+        let ty = self.norm(ty);
+        let forall = |types: &TyInterner, t| match types.node(t) {
+            TyNode::Forall {
                 vars,
                 constraints,
                 body,
-            } = m
-            {
-                return Some((vars, constraints, *body));
-            }
+            } => Some((vars, constraints, body)),
+            _ => None,
+        };
+        if let Some(parts) = forall(self.types(), ty) {
+            return Some(parts);
         }
-        None
+        let members = self.teq.class_members(ty);
+        members.into_iter().find_map(|m| forall(self.types(), m))
     }
 
     // ------------------------------------------------------------------
@@ -2542,10 +2480,10 @@ impl Checker {
                         if members.iter().any(|m| m.name == *name) {
                             return self.err(ErrorKind::DuplicateConceptItem(*name), span);
                         }
-                        let rty = self.resolve_ty(ty, span)?;
+                        let ty = self.resolve_ty(ty, span)?;
                         members.push(MemberSig {
                             name: *name,
-                            ty: rty,
+                            ty,
                             default: default.clone(),
                         });
                     }
@@ -2700,7 +2638,7 @@ impl Checker {
             // matching against the head (§6), so an absent parameter can
             // never be determined and the model could never be used.
             for p in &decl.params {
-                if !args.iter().any(|a| a.free_vars().contains(p)) {
+                if !args.iter().any(|&a| self.types().free_vars(a).contains(p)) {
                     return self.err(
                         ErrorKind::UnusedModelParam {
                             concept: decl.concept,
@@ -2712,7 +2650,7 @@ impl Checker {
             }
 
             // Associated-type assignments and member bodies.
-            let mut assoc: Vec<(Symbol, RTy)> = Vec::new();
+            let mut assoc: Vec<(Symbol, TyId)> = Vec::new();
             let mut member_bodies: Vec<(Symbol, &Expr)> = Vec::new();
             for item in &decl.items {
                 match item {
@@ -2729,8 +2667,8 @@ impl Checker {
                         if assoc.iter().any(|(n, _)| n == name) {
                             return self.err(ErrorKind::DuplicateModelItem(*name), span);
                         }
-                        let rty = self.resolve_ty(ty, span)?;
-                        assoc.push((*name, rty));
+                        let ty = self.resolve_ty(ty, span)?;
+                        assoc.push((*name, ty));
                     }
                     ModelItem::Member(name, e) => {
                         if info.member(*name).is_none() {
@@ -2763,26 +2701,25 @@ impl Checker {
 
             // The model substitution S: concept params → args, assoc names
             // → their assignments.
-            let mut s: HashMap<Symbol, RTy> = info
+            let map: Sigma = info
                 .params
                 .iter()
                 .copied()
-                .zip(args.iter().cloned())
+                .zip(args.iter().copied())
+                .chain(assoc.iter().copied())
                 .collect();
-            for (n, t) in &assoc {
-                s.insert(*n, t.clone());
-            }
+            let s = self.types().subst_id(&map);
 
             // Refined and required concepts must have models in scope (the
             // declaration's own constraint proxies count).
             let mut child_terms: Vec<Term> = Vec::new();
             for (rc, rargs) in info.refines.iter().chain(&info.requires) {
-                let inst_args: Vec<RTy> = rargs.iter().map(|a| subst(a, &s)).collect();
+                let inst_args = self.subst_all(rargs, s);
                 let Some(rm) = self.resolve_model_at(*rc, &inst_args, false, "model_decl") else {
                     return self.err(
                         ErrorKind::MissingRefinedModel {
                             concept: self.concepts.name(*rc),
-                            args: inst_args,
+                            args: self.rtys(&inst_args),
                         },
                         span,
                     );
@@ -2791,13 +2728,16 @@ impl Checker {
             }
 
             // Same-type requirements of the concept must hold.
-            for (lhs, rhs) in &info.same {
-                let il = subst(lhs, &s);
-                let ir = subst(rhs, &s);
-                let holds = self.types_equal(&il, &ir);
-                self.trace_same_type(&il, &ir, holds, "model_decl");
+            for &(lhs, rhs) in &info.same {
+                let il = self.subst(lhs, s);
+                let ir = self.subst(rhs, s);
+                let holds = self.types_equal(il, ir);
+                self.trace_same_type(il, ir, holds, "model_decl");
                 if !holds {
-                    return self.err(ErrorKind::SameTypeViolation(il, ir), span);
+                    return self.err(
+                        ErrorKind::SameTypeViolation(self.rty(il), self.rty(ir)),
+                        span,
+                    );
                 }
             }
 
@@ -2807,7 +2747,7 @@ impl Checker {
             let mut bindings: Vec<(Symbol, Term)> = Vec::new();
             let mut elab_members: Vec<(Symbol, Expr)> = Vec::new();
             for m in &info.members {
-                let expected = subst(&m.ty, &s);
+                let expected = self.subst(m.ty, s);
                 let (found_ty, term) = if let Some((_, e)) =
                     member_bodies.iter().find(|(n, _)| *n == m.name)
                 {
@@ -2841,33 +2781,28 @@ impl Checker {
                     // so bind *fresh* names and alpha-rename the default
                     // body accordingly.
                     let mut rename: HashMap<Symbol, Symbol> = HashMap::new();
-                    for (p, a) in info.params.iter().zip(&args) {
-                        let fresh = self.names.fresh(*p);
-                        rename.insert(*p, fresh);
+                    let bindings = info.params.iter().copied().zip(args.iter().copied());
+                    for (name, ty) in bindings.chain(assoc.iter().copied()) {
+                        let fresh = self.names.fresh(name);
+                        rename.insert(name, fresh);
                         self.ty_vars.push((fresh, None));
                         self.teq.ban_representative(fresh);
-                        self.teq.assert_eq(&RTy::Var(fresh), a);
-                    }
-                    for (n, t) in &assoc {
-                        let fresh = self.names.fresh(*n);
-                        rename.insert(*n, fresh);
-                        self.ty_vars.push((fresh, None));
-                        self.teq.ban_representative(fresh);
-                        self.teq.assert_eq(&RTy::Var(fresh), t);
+                        let var = self.types().var(fresh);
+                        self.teq.assert_eq(var, ty);
                     }
                     let default = crate::ast::rename_ty_vars_expr(default, &rename);
                     // Verify the member type while the parameter
                     // equalities are still in force, then report it as the
                     // instantiated concept type.
                     let result = self.check(&default).and_then(|(found, term)| {
-                        if self.types_equal(&found, &expected) {
-                            Ok((expected.clone(), term))
+                        if self.types_equal(found, expected) {
+                            Ok((expected, term))
                         } else {
                             Err(CheckError::new(
                                 ErrorKind::MemberTypeMismatch {
                                     member: m.name,
-                                    expected: expected.clone(),
-                                    found,
+                                    expected: self.rty(expected),
+                                    found: self.rty(found),
                                 },
                                 span,
                             ))
@@ -2884,12 +2819,12 @@ impl Checker {
                         span,
                     );
                 };
-                if !self.types_equal(&found_ty, &expected) {
+                if !self.types_equal(found_ty, expected) {
                     return self.err(
                         ErrorKind::MemberTypeMismatch {
                             member: m.name,
-                            expected,
-                            found: found_ty,
+                            expected: self.rty(expected),
+                            found: self.rty(found_ty),
                         },
                         span,
                     );
@@ -2974,14 +2909,9 @@ impl Checker {
         // by normalization at lookup time), then register the entry.
         let saved = self.save();
         if !parameterized {
-            for (n, t) in &assoc {
-                let proj = RTy::Assoc {
-                    concept: cid,
-                    concept_name: decl.concept,
-                    args: args.clone(),
-                    name: *n,
-                };
-                self.teq.assert_eq(&proj, t);
+            for &(n, t) in &assoc {
+                let proj = self.types().assoc(cid, decl.concept, &args, n);
+                self.teq.assert_eq(proj, t);
             }
         }
         self.push_model(ModelEntry {
@@ -3089,27 +3019,28 @@ fn outcome(ok: bool) -> &'static str {
 }
 
 /// The F_G type scheme of a primitive (mirrors [`Prim::ty`]).
-pub fn prim_rty(p: Prim) -> RTy {
+fn prim_ty(types: &TyInterner, p: Prim) -> TyId {
     let t = Symbol::intern("t");
-    let tv = || RTy::Var(t);
-    let poly = |body: RTy| RTy::Forall {
-        vars: vec![t],
-        constraints: vec![],
-        body: Box::new(body),
+    let (int, boolean, tv) = (types.int(), types.bool(), types.var(t));
+    let list_t = types.list(tv);
+    let poly = |body| {
+        types.mk(TyNode::Forall {
+            vars: Rc::from([t]),
+            constraints: Rc::from([]),
+            body,
+        })
     };
     match p {
-        Prim::IAdd | Prim::ISub | Prim::IMult => RTy::func(vec![RTy::Int, RTy::Int], RTy::Int),
-        Prim::INeg => RTy::func(vec![RTy::Int], RTy::Int),
-        Prim::IEq | Prim::ILt | Prim::ILe => RTy::func(vec![RTy::Int, RTy::Int], RTy::Bool),
-        Prim::BNot => RTy::func(vec![RTy::Bool], RTy::Bool),
-        Prim::BAnd | Prim::BOr | Prim::BEq => {
-            RTy::func(vec![RTy::Bool, RTy::Bool], RTy::Bool)
-        }
-        Prim::Nil => poly(RTy::list(tv())),
-        Prim::Cons => poly(RTy::func(vec![tv(), RTy::list(tv())], RTy::list(tv()))),
-        Prim::Car => poly(RTy::func(vec![RTy::list(tv())], tv())),
-        Prim::Cdr => poly(RTy::func(vec![RTy::list(tv())], RTy::list(tv()))),
-        Prim::Null => poly(RTy::func(vec![RTy::list(tv())], RTy::Bool)),
+        Prim::IAdd | Prim::ISub | Prim::IMult => types.func(&[int, int], int),
+        Prim::INeg => types.func(&[int], int),
+        Prim::IEq | Prim::ILt | Prim::ILe => types.func(&[int, int], boolean),
+        Prim::BNot => types.func(&[boolean], boolean),
+        Prim::BAnd | Prim::BOr | Prim::BEq => types.func(&[boolean, boolean], boolean),
+        Prim::Nil => poly(list_t),
+        Prim::Cons => poly(types.func(&[tv, list_t], list_t)),
+        Prim::Car => poly(types.func(&[list_t], tv)),
+        Prim::Cdr => poly(types.func(&[list_t], list_t)),
+        Prim::Null => poly(types.func(&[list_t], boolean)),
     }
 }
 

@@ -4,10 +4,11 @@
 //! recorded here; every later reference (models, where clauses, member
 //! accesses, associated-type projections) resolves to its [`ConceptId`].
 //! Because the table is append-only, ids remain valid across the whole
-//! checking run even as names are shadowed.
+//! checking run even as names are shadowed. Types in the table are
+//! handles into the checker's type arena.
 
 use crate::ast::Expr;
-use crate::rty::{ConceptId, RTy};
+use crate::rty::{ConceptId, TyId};
 use system_f::Symbol;
 
 /// A member (operation) requirement of a concept.
@@ -16,9 +17,9 @@ pub struct MemberSig {
     /// The member's name.
     pub name: Symbol,
     /// Its type, with the concept's parameters and associated types
-    /// appearing as [`RTy::Var`]s (instantiated per use by
+    /// appearing as type variables (instantiated per use by
     /// [`crate::check`]).
-    pub ty: RTy,
+    pub ty: TyId,
     /// An optional default body (§6 extension), kept in surface form and
     /// elaborated at each model site that omits the member.
     pub default: Option<Expr>,
@@ -37,13 +38,13 @@ pub struct ConceptInfo {
     pub assoc_types: Vec<Symbol>,
     /// Refinements `refines C′<τ̄>;` — args may mention `params` and
     /// `assoc_types` as variables.
-    pub refines: Vec<(ConceptId, Vec<RTy>)>,
+    pub refines: Vec<(ConceptId, Vec<TyId>)>,
     /// Nested requirements `require C′<τ̄>;` (§6 extension).
-    pub requires: Vec<(ConceptId, Vec<RTy>)>,
+    pub requires: Vec<(ConceptId, Vec<TyId>)>,
     /// Operation requirements, in source order (dictionary layout order).
     pub members: Vec<MemberSig>,
     /// Same-type requirements `same τ == τ′;`.
-    pub same: Vec<(RTy, RTy)>,
+    pub same: Vec<(TyId, TyId)>,
 }
 
 impl ConceptInfo {
@@ -117,12 +118,15 @@ impl ConceptTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rty::TyInterner;
 
     fn s(n: &str) -> Symbol {
         Symbol::intern(n)
     }
 
     fn dummy(id: ConceptId, name: &str) -> ConceptInfo {
+        let types = TyInterner::new();
+        let t = types.var(s("t"));
         ConceptInfo {
             id,
             name: s(name),
@@ -132,7 +136,7 @@ mod tests {
             requires: vec![],
             members: vec![MemberSig {
                 name: s("op"),
-                ty: RTy::func(vec![RTy::Var(s("t"))], RTy::Var(s("t"))),
+                ty: types.func(&[t], t),
                 default: None,
             }],
             same: vec![],

@@ -87,61 +87,6 @@ impl RTy {
         RTy::List(Box::new(elem))
     }
 
-    /// Returns `true` if the type contains no `Forall` anywhere — the
-    /// first-order fragment handled natively by congruence closure.
-    pub fn is_first_order(&self) -> bool {
-        match self {
-            RTy::Var(_) | RTy::Int | RTy::Bool => true,
-            RTy::List(t) => t.is_first_order(),
-            RTy::Fn(ps, r) => ps.iter().all(RTy::is_first_order) && r.is_first_order(),
-            RTy::Forall { .. } => false,
-            RTy::Assoc { args, .. } => args.iter().all(RTy::is_first_order),
-        }
-    }
-
-    /// Returns `true` if the type contains an associated-type projection.
-    pub fn has_assoc(&self) -> bool {
-        match self {
-            RTy::Var(_) | RTy::Int | RTy::Bool => false,
-            RTy::List(t) => t.has_assoc(),
-            RTy::Fn(ps, r) => ps.iter().any(RTy::has_assoc) || r.has_assoc(),
-            RTy::Forall {
-                constraints, body, ..
-            } => {
-                body.has_assoc()
-                    || constraints.iter().any(|c| match c {
-                        RConstraint::Model { args, .. } => args.iter().any(RTy::has_assoc),
-                        RConstraint::SameTy(a, b) => a.has_assoc() || b.has_assoc(),
-                    })
-            }
-            RTy::Assoc { .. } => true,
-        }
-    }
-
-    /// The number of AST nodes — used to prefer small representatives.
-    pub fn size(&self) -> usize {
-        match self {
-            RTy::Var(_) | RTy::Int | RTy::Bool => 1,
-            RTy::List(t) => 1 + t.size(),
-            RTy::Fn(ps, r) => 1 + ps.iter().map(RTy::size).sum::<usize>() + r.size(),
-            RTy::Forall {
-                constraints, body, ..
-            } => {
-                1 + body.size()
-                    + constraints
-                        .iter()
-                        .map(|c| match c {
-                            RConstraint::Model { args, .. } => {
-                                1 + args.iter().map(RTy::size).sum::<usize>()
-                            }
-                            RConstraint::SameTy(a, b) => 1 + a.size() + b.size(),
-                        })
-                        .sum::<usize>()
-            }
-            RTy::Assoc { args, .. } => 1 + args.iter().map(RTy::size).sum::<usize>(),
-        }
-    }
-
     /// Collects the free type variables (binders in `Forall` excluded).
     pub fn free_vars_into(&self, bound: &mut Vec<Symbol>, out: &mut Vec<Symbol>) {
         match self {
@@ -313,13 +258,13 @@ pub enum TyNode {
     /// `list τ`.
     List(TyId),
     /// `fn(τ̄) -> τ`.
-    Fn(Box<[TyId]>, TyId),
+    Fn(Rc<[TyId]>, TyId),
     /// `forall t̄ where …. τ`.
     Forall {
         /// Bound type variables.
-        vars: Box<[Symbol]>,
+        vars: Rc<[Symbol]>,
         /// Interned `where` clause.
-        constraints: Box<[CtId]>,
+        constraints: Rc<[CtId]>,
         /// Body.
         body: TyId,
     },
@@ -332,7 +277,7 @@ pub enum TyNode {
         /// `RTy::eq` (which compares the name too).
         concept_name: Symbol,
         /// Type arguments.
-        args: Box<[TyId]>,
+        args: Rc<[TyId]>,
         /// The associated type's name.
         name: Symbol,
     },
@@ -348,7 +293,7 @@ pub enum CtNode {
         /// The concept's (source) name, for display.
         concept_name: Symbol,
         /// Type arguments.
-        args: Box<[TyId]>,
+        args: Rc<[TyId]>,
     },
     /// A same-type constraint `τ == τ′`.
     SameTy(TyId, TyId),
@@ -590,7 +535,7 @@ impl Store {
             RTy::Bool => TyNode::Bool,
             RTy::List(t) => TyNode::List(self.intern(t)),
             RTy::Fn(ps, r) => {
-                let ps: Box<[TyId]> = ps.iter().map(|p| self.intern(p)).collect();
+                let ps: Rc<[TyId]> = ps.iter().map(|p| self.intern(p)).collect();
                 let r = self.intern(r);
                 TyNode::Fn(ps, r)
             }
@@ -599,10 +544,10 @@ impl Store {
                 constraints,
                 body,
             } => {
-                let cs: Box<[CtId]> = constraints.iter().map(|c| self.intern_ct(c)).collect();
+                let cs: Rc<[CtId]> = constraints.iter().map(|c| self.intern_ct(c)).collect();
                 let body = self.intern(body);
                 TyNode::Forall {
-                    vars: vars.clone().into_boxed_slice(),
+                    vars: Rc::from(vars.as_slice()),
                     constraints: cs,
                     body,
                 }
@@ -613,7 +558,7 @@ impl Store {
                 args,
                 name,
             } => {
-                let args: Box<[TyId]> = args.iter().map(|a| self.intern(a)).collect();
+                let args: Rc<[TyId]> = args.iter().map(|a| self.intern(a)).collect();
                 TyNode::Assoc {
                     concept: *concept,
                     concept_name: *concept_name,
@@ -632,7 +577,7 @@ impl Store {
                 concept_name,
                 args,
             } => {
-                let args: Box<[TyId]> = args.iter().map(|a| self.intern(a)).collect();
+                let args: Rc<[TyId]> = args.iter().map(|a| self.intern(a)).collect();
                 CtNode::Model {
                     concept: *concept,
                     concept_name: *concept_name,
@@ -748,7 +693,7 @@ impl Store {
                 self.mk(TyNode::List(t))
             }
             TyNode::Fn(ps, r) => {
-                let ps: Box<[TyId]> = ps.iter().map(|&p| self.subst(p, sid)).collect();
+                let ps: Rc<[TyId]> = ps.iter().map(|&p| self.subst(p, sid)).collect();
                 let r = self.subst(r, sid);
                 self.mk(TyNode::Fn(ps, r))
             }
@@ -778,13 +723,13 @@ impl Store {
                     inner.push((v, var));
                 }
                 let inner_sid = self.subst_id(&inner);
-                let cs: Box<[CtId]> = constraints
+                let cs: Rc<[CtId]> = constraints
                     .iter()
                     .map(|&c| self.subst_ct(c, inner_sid))
                     .collect();
                 let body = self.subst(body, inner_sid);
                 self.mk(TyNode::Forall {
-                    vars: new_vars.into_boxed_slice(),
+                    vars: Rc::from(new_vars),
                     constraints: cs,
                     body,
                 })
@@ -795,7 +740,7 @@ impl Store {
                 args,
                 name,
             } => {
-                let args: Box<[TyId]> = args.iter().map(|&a| self.subst(a, sid)).collect();
+                let args: Rc<[TyId]> = args.iter().map(|&a| self.subst(a, sid)).collect();
                 self.mk(TyNode::Assoc {
                     concept,
                     concept_name,
@@ -821,7 +766,7 @@ impl Store {
                 concept_name,
                 args,
             } => {
-                let args: Box<[TyId]> = args.iter().map(|&a| self.subst(a, sid)).collect();
+                let args: Rc<[TyId]> = args.iter().map(|&a| self.subst(a, sid)).collect();
                 self.mkc(CtNode::Model {
                     concept,
                     concept_name,
@@ -887,22 +832,74 @@ impl TyInterner {
         self.0.borrow().to_rconstraint(id)
     }
 
-    /// A clone of the interned node for `id`.
+    /// The interned node for `id`. Child lists are shared slices, so
+    /// reading a node copies no list.
     pub fn node(&self, id: TyId) -> TyNode {
         self.0.borrow().nodes[id.index()].clone()
     }
 
-    /// A clone of the interned constraint node for `id`.
+    /// The interned constraint node for `id` (child lists shared).
     pub fn constraint_node(&self, id: CtId) -> CtNode {
         self.0.borrow().cnodes[id.0 as usize].clone()
     }
 
-    /// O(1): the node count of `id` (same value as [`RTy::size`]).
+    /// Interns `node`, whose children are handles of this arena.
+    pub fn mk(&self, node: TyNode) -> TyId {
+        self.0.borrow_mut().mk(node)
+    }
+
+    /// Interns a constraint node.
+    pub fn mk_constraint(&self, node: CtNode) -> CtId {
+        self.0.borrow_mut().mkc(node)
+    }
+
+    /// The type variable `v`.
+    pub fn var(&self, v: Symbol) -> TyId {
+        self.mk(TyNode::Var(v))
+    }
+
+    /// `int`.
+    pub fn int(&self) -> TyId {
+        self.mk(TyNode::Int)
+    }
+
+    /// `bool`.
+    pub fn bool(&self) -> TyId {
+        self.mk(TyNode::Bool)
+    }
+
+    /// `list elem`.
+    pub fn list(&self, elem: TyId) -> TyId {
+        self.mk(TyNode::List(elem))
+    }
+
+    /// `fn(params…) -> ret`.
+    pub fn func(&self, params: &[TyId], ret: TyId) -> TyId {
+        self.mk(TyNode::Fn(Rc::from(params), ret))
+    }
+
+    /// The projection `concept<args>.name`.
+    pub fn assoc(&self, concept: ConceptId, concept_name: Symbol, args: &[TyId], name: Symbol) -> TyId {
+        self.mk(TyNode::Assoc {
+            concept,
+            concept_name,
+            args: Rc::from(args),
+            name,
+        })
+    }
+
+    /// Whether `id` is a type variable.
+    pub fn is_var(&self, id: TyId) -> bool {
+        matches!(self.0.borrow().nodes[id.index()], TyNode::Var(_))
+    }
+
+    /// O(1): the node count of `id`, counting one node per constraint.
     pub fn size(&self, id: TyId) -> usize {
         self.0.borrow().meta[id.index()].size as usize
     }
 
-    /// O(1): whether `id` is `Forall`-free (same as [`RTy::is_first_order`]).
+    /// O(1): whether `id` is `Forall`-free, the first-order fragment
+    /// congruence closure handles natively.
     pub fn is_first_order(&self, id: TyId) -> bool {
         self.0.borrow().meta[id.index()].first_order
     }
@@ -912,8 +909,8 @@ impl TyInterner {
         self.0.borrow().meta[id.index()].has_assoc
     }
 
-    /// The free variables of `id` in first-occurrence order (shared slice;
-    /// same contents as [`RTy::free_vars`]).
+    /// The free variables of `id` in first-occurrence order (shared
+    /// slice; the same list as [`RTy::free_vars`] of its tree).
     pub fn free_vars(&self, id: TyId) -> Rc<[Symbol]> {
         Rc::clone(&self.0.borrow().meta[id.index()].free_vars)
     }
@@ -924,22 +921,17 @@ impl TyInterner {
     }
 
     /// Capture-avoiding substitution over handles, memoized per
-    /// `(TyId, SubstId)` pair. Agrees with the tree-walking [`subst`] up
-    /// to alpha-renaming: a node the map does not touch is returned as
-    /// is, where the tree walk may still rename a binder inside it.
+    /// `(TyId, SubstId)` pair. The result is exactly the tree-walking
+    /// [`subst`]'s, binder names included: both leave a node none of whose
+    /// free variables the map touches as it is, and both rename a binder
+    /// that would capture to the same fresh name.
     pub fn subst(&self, id: TyId, sid: SubstId) -> TyId {
         self.0.borrow_mut().subst(id, sid)
     }
 
-    /// Convenience: interns `map`'s range and applies it to `ty`.
-    pub fn subst_rty(&self, ty: &RTy, map: &HashMap<Symbol, RTy>) -> RTy {
-        let mut store = self.0.borrow_mut();
-        let id = store.intern(ty);
-        let pairs: Vec<(Symbol, TyId)> =
-            map.iter().map(|(k, v)| (*k, store.intern(v))).collect();
-        let sid = store.subst_id(&pairs);
-        let out = store.subst(id, sid);
-        store.to_rty(out)
+    /// [`TyInterner::subst`] over a constraint.
+    pub fn subst_constraint(&self, id: CtId, sid: SubstId) -> CtId {
+        self.0.borrow_mut().subst_ct(id, sid)
     }
 
     /// Number of interned type nodes.
@@ -1130,22 +1122,24 @@ mod tests {
 
     #[test]
     fn first_order_classification() {
-        assert!(v("t").is_first_order());
-        assert!(assoc(vec![v("t")]).is_first_order());
+        let it = TyInterner::new();
+        assert!(it.is_first_order(it.intern(&v("t"))));
+        assert!(it.is_first_order(it.intern(&assoc(vec![v("t")]))));
         let poly = RTy::Forall {
             vars: vec![s("a")],
             constraints: vec![],
             body: Box::new(v("a")),
         };
-        assert!(!poly.is_first_order());
-        assert!(!RTy::func(vec![poly], RTy::Int).is_first_order());
+        assert!(!it.is_first_order(it.intern(&poly)));
+        assert!(!it.is_first_order(it.intern(&RTy::func(vec![poly], RTy::Int))));
     }
 
     #[test]
     fn has_assoc_detection() {
-        assert!(!v("t").has_assoc());
-        assert!(assoc(vec![v("t")]).has_assoc());
-        assert!(RTy::list(assoc(vec![RTy::Int])).has_assoc());
+        let it = TyInterner::new();
+        assert!(!it.has_assoc(it.intern(&v("t"))));
+        assert!(it.has_assoc(it.intern(&assoc(vec![v("t")]))));
+        assert!(it.has_assoc(it.intern(&RTy::list(assoc(vec![RTy::Int])))));
     }
 
     #[test]
@@ -1298,8 +1292,9 @@ mod tests {
 
     #[test]
     fn size_counts_nodes() {
-        assert_eq!(v("t").size(), 1);
-        assert_eq!(RTy::func(vec![v("t")], RTy::Int).size(), 3);
+        let it = TyInterner::new();
+        assert_eq!(it.size(it.intern(&v("t"))), 1);
+        assert_eq!(it.size(it.intern(&RTy::func(vec![v("t")], RTy::Int))), 3);
     }
 
     #[test]
@@ -1318,11 +1313,12 @@ mod tests {
     #[test]
     fn interner_roundtrips_and_metadata_matches_tree_walk() {
         let it = TyInterner::new();
+        // (type, size, first order, has a projection, free variables)
         let cases = [
-            RTy::Int,
-            v("t"),
-            RTy::list(assoc(vec![v("t")])),
-            RTy::Forall {
+            (RTy::Int, 1, true, false, vec![]),
+            (v("t"), 1, true, false, vec![s("t")]),
+            (RTy::list(assoc(vec![v("t")])), 3, true, true, vec![s("t")]),
+            (RTy::Forall {
                 vars: vec![s("a")],
                 constraints: vec![
                     RConstraint::Model {
@@ -1333,16 +1329,23 @@ mod tests {
                     RConstraint::SameTy(v("a"), assoc(vec![v("w")])),
                 ],
                 body: Box::new(RTy::func(vec![v("a")], v("b"))),
-            },
+            }, 11, false, true, vec![s("z"), s("w"), s("b")]),
         ];
-        for ty in &cases {
+        for (ty, size, first_order, has_assoc, free) in &cases {
             let id = it.intern(ty);
             assert_eq!(&it.to_rty(id), ty, "roundtrip must be exact");
-            assert_eq!(it.size(id), ty.size());
-            assert_eq!(it.is_first_order(id), ty.is_first_order());
-            assert_eq!(it.has_assoc(id), ty.has_assoc());
-            assert_eq!(it.free_vars(id).to_vec(), ty.free_vars());
+            assert_eq!(it.size(id), *size, "{ty}");
+            assert_eq!(it.is_first_order(id), *first_order, "{ty}");
+            assert_eq!(it.has_assoc(id), *has_assoc, "{ty}");
+            assert_eq!(it.free_vars(id).to_vec(), *free, "{ty}");
+            assert_eq!(it.free_vars(id).to_vec(), ty.free_vars(), "{ty}");
         }
+    }
+
+    /// `ty[x := r]` through the interner, as a tree.
+    fn subst_interned(it: &TyInterner, ty: &RTy, x: &str, r: &RTy) -> RTy {
+        let sid = it.subst_id(&[(s(x), it.intern(r))]);
+        it.to_rty(it.subst(it.intern(ty), sid))
     }
 
     #[test]
@@ -1350,9 +1353,10 @@ mod tests {
         let it = TyInterner::new();
         // The non-capturing case is exactly equal to the tree walk.
         let t = assoc(vec![RTy::list(v("t"))]);
+        let r = RTy::func(vec![RTy::Int], v("u"));
         let mut map = HashMap::new();
-        map.insert(s("t"), RTy::func(vec![RTy::Int], v("u")));
-        assert_eq!(it.subst_rty(&t, &map), subst(&t, &map));
+        map.insert(s("t"), r.clone());
+        assert_eq!(subst_interned(&it, &t, "t", &r), subst(&t, &map));
 
         // The capturing case renames the binder to the first free `a_k`,
         // as the tree walk does.
@@ -1363,7 +1367,7 @@ mod tests {
         };
         let mut map = HashMap::new();
         map.insert(s("b"), v("a"));
-        let r = it.subst_rty(&t, &map);
+        let r = subst_interned(&it, &t, "b", &v("a"));
         assert_eq!(r, subst(&t, &map));
         let RTy::Forall { vars, body, .. } = &r else {
             unreachable!("subst must keep the forall shape, got {r:?}");
@@ -1381,11 +1385,9 @@ mod tests {
     fn interner_subst_cache_hits_on_repeat() {
         let it = TyInterner::new();
         let t = RTy::func(vec![v("t"), v("t"), v("t")], v("t"));
-        let mut map = HashMap::new();
-        map.insert(s("t"), RTy::Int);
-        let first = it.subst_rty(&t, &map);
+        let first = subst_interned(&it, &t, "t", &RTy::Int);
         let misses = it.stats().subst_misses;
-        let second = it.subst_rty(&t, &map);
+        let second = subst_interned(&it, &t, "t", &RTy::Int);
         assert_eq!(first, second);
         assert_eq!(
             it.stats().subst_misses,

@@ -16,12 +16,11 @@
 //! procedure at every sub-position, and participate in the congruence as
 //! opaque constants keyed by a canonical token spine.
 //!
-//! Since the interner PR, every type is hash-consed into a [`TyInterner`]
-//! first: the congruence encoding maps [`TyId`] handles to [`TermId`]s
-//! through a union-count-stamped cache, so repeated encodings of the same
-//! type are a single hash lookup and the encoding path allocates no
-//! strings (the old `canon` rendering built a `format!` key per `forall`
-//! on *every* query).
+//! The engine works on hash-consed [`TyId`] handles of a [`TyInterner`]
+//! arena it shares with the checker: the congruence encoding maps handles
+//! to [`TermId`]s through a union-count-stamped cache, so repeated
+//! encodings of the same type are a single hash lookup and the encoding
+//! path allocates no strings.
 //!
 //! The translation to System F needs one extra operation beyond equality:
 //! [`TypeEq::resolve`] rewrites a type to the *representative* of its
@@ -36,7 +35,7 @@ use congruence::{Congruence, Op, TermId};
 use system_f::Symbol;
 use telemetry::trace::Tracer;
 
-use crate::rty::{ConceptId, CtNode, InternStats, RConstraint, RTy, TyId, TyInterner, TyNode};
+use crate::rty::{ConceptId, CtNode, InternStats, TyId, TyInterner, TyNode};
 
 /// One token of the canonical spine for universal types. The spine is a
 /// prefix rendering with explicit arities in every head token, so two
@@ -108,7 +107,7 @@ pub struct TypeEq {
     /// Every equality asserted into this instance, in order. Scope clones
     /// carry their ancestors' assertions, so the log always lists exactly
     /// the equations in force — the raw material for [`TypeEq::explain`].
-    asserted: Vec<(RTy, RTy)>,
+    asserted: Vec<(TyId, TyId)>,
     /// Trace sink for union/assertion events (disabled by default; the
     /// handle is shared, so scope clones keep reporting to the same
     /// collector).
@@ -163,9 +162,19 @@ impl TypeEqStats {
 const RESOLVE_DEPTH_LIMIT: usize = 64;
 
 impl TypeEq {
-    /// Creates an empty equality state (equality is syntactic).
+    /// Creates an empty equality state (equality is syntactic) over a
+    /// fresh arena.
     pub fn new() -> TypeEq {
         TypeEq::default()
+    }
+
+    /// Creates an empty equality state over `interner`'s arena, so handles
+    /// from that arena can be asserted and queried.
+    pub fn with_interner(interner: TyInterner) -> TypeEq {
+        TypeEq {
+            interner,
+            ..TypeEq::default()
+        }
     }
 
     /// Marks `name` as a type-alias variable: it may appear in programs but
@@ -221,9 +230,15 @@ impl TypeEq {
     }
 
     /// A shared handle to this engine's type interner (clones share the
-    /// arena). The checker uses the same arena so `TyId`s line up.
+    /// arena): every handle passed to or returned by the engine lives in
+    /// it.
     pub fn interner(&self) -> TyInterner {
         self.interner.clone()
+    }
+
+    /// The interner this engine's handles live in.
+    pub(crate) fn types(&self) -> &TyInterner {
+        &self.interner
     }
 
     /// Counter snapshot of the shared interner arena.
@@ -279,11 +294,14 @@ impl TypeEq {
     }
 
     /// Asserts `a == b`, closing under congruence.
-    pub fn assert_eq(&mut self, a: &RTy, b: &RTy) {
+    pub fn assert_eq(&mut self, a: TyId, b: TyId) {
         self.carried.assertions += 1;
-        self.asserted.push((a.clone(), b.clone()));
+        self.asserted.push((a, b));
         self.tracer.instant_with("assert_eq", || {
-            vec![("lhs", a.to_string().into()), ("rhs", b.to_string().into())]
+            vec![
+                ("lhs", self.interner.to_rty(a).to_string().into()),
+                ("rhs", self.interner.to_rty(b).to_string().into()),
+            ]
         });
         let ta = self.encode(a);
         let tb = self.encode(b);
@@ -292,7 +310,7 @@ impl TypeEq {
     }
 
     /// Decides `a == b` under the asserted constraints.
-    pub fn eq(&mut self, a: &RTy, b: &RTy) -> bool {
+    pub fn eq(&mut self, a: TyId, b: TyId) -> bool {
         self.carried.eq_queries += 1;
         if a == b {
             return true;
@@ -319,17 +337,17 @@ impl TypeEq {
     /// The chain is minimized greedily — dropping any single remaining
     /// assertion breaks the proof — and is validated by construction:
     /// every candidate subset is checked by replaying it into a fresh
-    /// engine.
-    pub fn explain(&mut self, a: &RTy, b: &RTy) -> Option<Vec<(RTy, RTy)>> {
+    /// engine over the same arena.
+    pub fn explain(&mut self, a: TyId, b: TyId) -> Option<Vec<(TyId, TyId)>> {
         if !self.eq(a, b) {
             return None;
         }
-        let holds = |subset: &[(RTy, RTy)]| -> bool {
-            let mut fresh = TypeEq::new();
+        let holds = |subset: &[(TyId, TyId)]| -> bool {
+            let mut fresh = TypeEq::with_interner(self.interner.clone());
             for name in &self.banned {
                 fresh.ban_representative(*name);
             }
-            for (x, y) in subset {
+            for &(x, y) in subset {
                 fresh.assert_eq(x, y);
             }
             fresh.eq(a, b)
@@ -356,22 +374,22 @@ impl TypeEq {
     /// Structural comparison that recurses through [`TypeEq::eq`] at every
     /// sub-position, alpha-renaming `forall` binders to depth-indexed
     /// canonical names.
-    fn structural_eq(&mut self, a: &RTy, b: &RTy, depth: usize) -> bool {
-        match (a, b) {
-            (RTy::List(x), RTy::List(y)) => self.eq(x, y),
-            (RTy::Fn(ps, r), RTy::Fn(qs, s)) => {
+    fn structural_eq(&mut self, a: TyId, b: TyId, depth: usize) -> bool {
+        match (self.interner.node(a), self.interner.node(b)) {
+            (TyNode::List(x), TyNode::List(y)) => self.eq(x, y),
+            (TyNode::Fn(ps, r), TyNode::Fn(qs, s)) => {
                 ps.len() == qs.len()
-                    && ps.iter().zip(qs).all(|(p, q)| self.eq(p, q))
+                    && ps.iter().zip(qs.iter()).all(|(&p, &q)| self.eq(p, q))
                     && self.eq(r, s)
             }
             (
-                RTy::Assoc {
+                TyNode::Assoc {
                     concept: ca,
                     args: aa,
                     name: na,
                     ..
                 },
-                RTy::Assoc {
+                TyNode::Assoc {
                     concept: cb,
                     args: ab,
                     name: nb,
@@ -381,15 +399,15 @@ impl TypeEq {
                 ca == cb
                     && na == nb
                     && aa.len() == ab.len()
-                    && aa.iter().zip(ab).all(|(x, y)| self.eq(x, y))
+                    && aa.iter().zip(ab.iter()).all(|(&x, &y)| self.eq(x, y))
             }
             (
-                RTy::Forall {
+                TyNode::Forall {
                     vars: va,
                     constraints: ca,
                     body: ba,
                 },
-                RTy::Forall {
+                TyNode::Forall {
                     vars: vb,
                     constraints: cb,
                     body: bb,
@@ -398,32 +416,33 @@ impl TypeEq {
                 if va.len() != vb.len() || ca.len() != cb.len() {
                     return false;
                 }
-                let canon: Vec<Symbol> = (0..va.len())
-                    .map(|i| Symbol::intern(&format!("#cmp{}_{}", depth, i)))
+                let canon: Vec<TyId> = (0..va.len())
+                    .map(|i| {
+                        self.interner
+                            .var(Symbol::intern(&format!("#cmp{}_{}", depth, i)))
+                    })
                     .collect();
-                let map_a: HashMap<Symbol, RTy> = va
-                    .iter()
-                    .zip(&canon)
-                    .map(|(v, c)| (*v, RTy::Var(*c)))
-                    .collect();
-                let map_b: HashMap<Symbol, RTy> = vb
-                    .iter()
-                    .zip(&canon)
-                    .map(|(v, c)| (*v, RTy::Var(*c)))
-                    .collect();
-                let ba2 = crate::rty::subst(ba, &map_a);
-                let bb2 = crate::rty::subst(bb, &map_b);
-                for (x, y) in ca.iter().zip(cb) {
-                    let x2 = crate::rty::subst_constraint(x, &map_a);
-                    let y2 = crate::rty::subst_constraint(y, &map_b);
-                    let ok = match (&x2, &y2) {
+                let rename = |vars: &[Symbol]| -> Vec<(Symbol, TyId)> {
+                    vars.iter().copied().zip(canon.iter().copied()).collect()
+                };
+                let sa = self.interner.subst_id(&rename(&va));
+                let sb = self.interner.subst_id(&rename(&vb));
+                let ba2 = self.interner.subst(ba, sa);
+                let bb2 = self.interner.subst(bb, sb);
+                for (&x, &y) in ca.iter().zip(cb.iter()) {
+                    let x2 = self.interner.subst_constraint(x, sa);
+                    let y2 = self.interner.subst_constraint(y, sb);
+                    let ok = match (
+                        self.interner.constraint_node(x2),
+                        self.interner.constraint_node(y2),
+                    ) {
                         (
-                            RConstraint::Model {
+                            CtNode::Model {
                                 concept: c1,
                                 args: a1,
                                 ..
                             },
-                            RConstraint::Model {
+                            CtNode::Model {
                                 concept: c2,
                                 args: a2,
                                 ..
@@ -431,9 +450,9 @@ impl TypeEq {
                         ) => {
                             c1 == c2
                                 && a1.len() == a2.len()
-                                && a1.iter().zip(a2).all(|(p, q)| self.eq(p, q))
+                                && a1.iter().zip(a2.iter()).all(|(&p, &q)| self.eq(p, q))
                         }
-                        (RConstraint::SameTy(l1, r1), RConstraint::SameTy(l2, r2)) => {
+                        (CtNode::SameTy(l1, r1), CtNode::SameTy(l2, r2)) => {
                             self.eq(l1, l2) && self.eq(r1, r2)
                         }
                         _ => false,
@@ -447,12 +466,12 @@ impl TypeEq {
                 if ba2 == bb2 {
                     return true;
                 }
-                let ta = self.encode(&ba2);
-                let tb = self.encode(&bb2);
+                let ta = self.encode(ba2);
+                let tb = self.encode(bb2);
                 if self.cc.eq(ta, tb) {
                     return true;
                 }
-                self.structural_eq(&ba2, &bb2, depth + 1)
+                self.structural_eq(ba2, bb2, depth + 1)
             }
             _ => false,
         }
@@ -463,56 +482,54 @@ impl TypeEq {
     /// banned alias variables, types free of associated-type projections,
     /// smaller types, earlier-created terms. The result is deterministic
     /// for a given sequence of assertions.
-    pub fn resolve(&mut self, ty: &RTy) -> RTy {
+    pub fn resolve(&mut self, ty: TyId) -> TyId {
         self.carried.resolves += 1;
         self.resolve_at(ty, 0)
     }
 
-    fn resolve_at(&mut self, ty: &RTy, depth: usize) -> RTy {
+    fn resolve_at(&mut self, ty: TyId, depth: usize) -> TyId {
         if depth > RESOLVE_DEPTH_LIMIT {
-            return ty.clone();
+            return ty;
         }
         let best = self.class_best(ty);
-        match best {
-            RTy::Var(_) | RTy::Int | RTy::Bool => best,
-            RTy::List(t) => RTy::List(Box::new(self.resolve_at(&t, depth + 1))),
-            RTy::Fn(ps, r) => RTy::Fn(
-                ps.iter().map(|p| self.resolve_at(p, depth + 1)).collect(),
-                Box::new(self.resolve_at(&r, depth + 1)),
-            ),
-            RTy::Forall {
+        let node = match self.interner.node(best) {
+            TyNode::Var(_) | TyNode::Int | TyNode::Bool => return best,
+            TyNode::List(t) => TyNode::List(self.resolve_at(t, depth + 1)),
+            TyNode::Fn(ps, r) => {
+                let ps: Vec<TyId> = ps.iter().map(|&p| self.resolve_at(p, depth + 1)).collect();
+                TyNode::Fn(ps.into(), self.resolve_at(r, depth + 1))
+            }
+            // Resolve inside the body, but do not rewrite the binders.
+            TyNode::Forall {
                 vars,
                 constraints,
                 body,
-            } => {
-                // Resolve inside the body, but do not rewrite the binders.
-                RTy::Forall {
-                    vars,
-                    constraints,
-                    body: Box::new(self.resolve_at(&body, depth + 1)),
-                }
-            }
-            RTy::Assoc {
+            } => TyNode::Forall {
+                vars,
+                constraints,
+                body: self.resolve_at(body, depth + 1),
+            },
+            TyNode::Assoc {
                 concept,
                 concept_name,
                 args,
                 name,
-            } => RTy::Assoc {
+            } => TyNode::Assoc {
                 concept,
                 concept_name,
-                args: args.iter().map(|a| self.resolve_at(a, depth + 1)).collect(),
+                args: args.iter().map(|&a| self.resolve_at(a, depth + 1)).collect(),
                 name,
             },
-        }
+        };
+        self.interner.mk(node)
     }
 
     /// All known members of `ty`'s equivalence class (excluding `ty`
     /// itself unless it was separately encoded), in creation order. Used by
     /// the checker to view a type as a function or universal type through
     /// declared equalities.
-    pub fn class_members(&mut self, ty: &RTy) -> Vec<RTy> {
-        let tid = self.interner.intern(ty);
-        let term = self.encode_tid(tid);
+    pub fn class_members(&mut self, ty: TyId) -> Vec<TyId> {
+        let term = self.encode(ty);
         let root = self.cc.find(term);
         // The maintained class list is O(class size); sort to recover the
         // creation order the old full-bank scan produced.
@@ -525,7 +542,7 @@ impl TypeEq {
                 seen.push(cand);
             }
         }
-        seen.into_iter().map(|t| self.interner.to_rty(t)).collect()
+        seen
     }
 
     /// Picks the best member of `ty`'s equivalence class (possibly `ty`
@@ -538,14 +555,13 @@ impl TypeEq {
     /// class `{t, fn(int) -> int}` from a `t == fn(int) -> int` constraint
     /// must translate `t`'s uses to the function type, or elimination
     /// forms in the System F output would be stuck on `t`).
-    fn class_best(&mut self, ty: &RTy) -> RTy {
-        let tid = self.interner.intern(ty);
-        let term = self.encode_tid(tid);
+    fn class_best(&mut self, tid: TyId) -> TyId {
+        let term = self.encode(tid);
         let root = self.cc.find(term);
         let key_of = |te: &Self, t: TyId, idx: usize| {
             (
                 te.score_id(t),
-                u32::from(matches!(te.interner.node(t), TyNode::Var(_))),
+                u32::from(te.interner.is_var(t)),
                 te.interner.size(t),
                 idx,
             )
@@ -562,7 +578,7 @@ impl TypeEq {
                 best = cand;
             }
         }
-        self.interner.to_rty(best)
+        best
     }
 
     fn score_id(&self, tid: TyId) -> u32 {
@@ -592,15 +608,9 @@ impl TypeEq {
         op
     }
 
-    /// Encodes a type into the congruence term bank (hash-consed through
-    /// the interner).
-    fn encode(&mut self, ty: &RTy) -> TermId {
-        let tid = self.interner.intern(ty);
-        self.encode_tid(tid)
-    }
-
-    /// `TyId → TermId`, through the stamped cache.
-    fn encode_tid(&mut self, tid: TyId) -> TermId {
+    /// Encodes a type into the congruence term bank: `TyId → TermId`,
+    /// through the stamped cache.
+    fn encode(&mut self, tid: TyId) -> TermId {
         let unions_now = self.cc.stats().unions;
         if let Some(&(term, stamp)) = self.term_cache.get(&tid) {
             if stamp == STAMP_FIRST_ORDER || stamp == unions_now {
@@ -621,14 +631,14 @@ impl TypeEq {
                 self.cc.constant(op)
             }
             TyNode::List(t) => {
-                let c = self.encode_tid(t);
+                let c = self.encode(t);
                 let op = self.op(OpKey::List);
                 self.cc.term(op, &[c])
             }
             TyNode::Fn(ps, r) => {
                 let mut children: Vec<TermId> =
-                    ps.iter().map(|&p| self.encode_tid(p)).collect();
-                children.push(self.encode_tid(r));
+                    ps.iter().map(|&p| self.encode(p)).collect();
+                children.push(self.encode(r));
                 let op = self.op(OpKey::Fn(ps.len()));
                 self.cc.term(op, &children)
             }
@@ -636,7 +646,7 @@ impl TypeEq {
                 concept, args, name, ..
             } => {
                 let children: Vec<TermId> =
-                    args.iter().map(|&a| self.encode_tid(a)).collect();
+                    args.iter().map(|&a| self.encode(a)).collect();
                 let op = self.op(OpKey::Assoc(concept, name));
                 self.cc.term(op, &children)
             }
@@ -650,7 +660,7 @@ impl TypeEq {
         while self.decoded.len() < self.cc.len() {
             // Any newly created term (including children) decodes to the
             // type that created it; children were pushed by their own
-            // recursive `encode_tid` calls, so only `term` can be missing.
+            // recursive `encode` calls, so only `term` can be missing.
             self.decoded.push(tid);
         }
         // Stamp with the union count from *before* this encoding: if
@@ -677,7 +687,7 @@ impl TypeEq {
                 .iter()
                 .all(|v| !bound.contains(v));
         if closed_first_order {
-            let term = self.encode_tid(tid);
+            let term = self.encode(tid);
             let root = self.cc.find(term);
             out.push(PolyTok::Root(
                 u32::try_from(root.index()).expect("term bank exceeds u32"),
@@ -746,6 +756,37 @@ impl TypeEq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rty::RTy;
+
+    /// The engine's queries on trees, interned into its own arena.
+    trait Trees {
+        fn assert_rty(&mut self, a: &RTy, b: &RTy);
+        fn eq_rty(&mut self, a: &RTy, b: &RTy) -> bool;
+        fn resolve_rty(&mut self, a: &RTy) -> RTy;
+        fn explain_rty(&mut self, a: &RTy, b: &RTy) -> Option<Vec<(RTy, RTy)>>;
+    }
+
+    impl Trees for TypeEq {
+        fn assert_rty(&mut self, a: &RTy, b: &RTy) {
+            let (a, b) = (self.interner.intern(a), self.interner.intern(b));
+            self.assert_eq(a, b);
+        }
+        fn eq_rty(&mut self, a: &RTy, b: &RTy) -> bool {
+            let (a, b) = (self.interner.intern(a), self.interner.intern(b));
+            self.eq(a, b)
+        }
+        fn resolve_rty(&mut self, a: &RTy) -> RTy {
+            let a = self.interner.intern(a);
+            let r = self.resolve(a);
+            self.interner.to_rty(r)
+        }
+        fn explain_rty(&mut self, a: &RTy, b: &RTy) -> Option<Vec<(RTy, RTy)>> {
+            let (a, b) = (self.interner.intern(a), self.interner.intern(b));
+            let chain = self.explain(a, b)?;
+            let it = &self.interner;
+            Some(chain.iter().map(|&(x, y)| (it.to_rty(x), it.to_rty(y))).collect())
+        }
+    }
 
     fn s(n: &str) -> Symbol {
         Symbol::intern(n)
@@ -765,30 +806,30 @@ mod tests {
     #[test]
     fn syntactic_equality_is_free() {
         let mut te = TypeEq::new();
-        assert!(te.eq(&RTy::Int, &RTy::Int));
-        assert!(!te.eq(&RTy::Int, &RTy::Bool));
-        assert!(te.eq(&v("t"), &v("t")));
-        assert!(!te.eq(&v("t"), &v("u")));
+        assert!(te.eq_rty(&RTy::Int, &RTy::Int));
+        assert!(!te.eq_rty(&RTy::Int, &RTy::Bool));
+        assert!(te.eq_rty(&v("t"), &v("t")));
+        assert!(!te.eq_rty(&v("t"), &v("u")));
     }
 
     #[test]
     fn asserted_equalities_hold() {
         let mut te = TypeEq::new();
-        te.assert_eq(&v("t"), &RTy::Int);
-        assert!(te.eq(&v("t"), &RTy::Int));
-        assert!(!te.eq(&v("t"), &RTy::Bool));
+        te.assert_rty(&v("t"), &RTy::Int);
+        assert!(te.eq_rty(&v("t"), &RTy::Int));
+        assert!(!te.eq_rty(&v("t"), &RTy::Bool));
     }
 
     #[test]
     fn congruence_through_constructors() {
         let mut te = TypeEq::new();
-        te.assert_eq(&v("t"), &v("u"));
-        assert!(te.eq(&RTy::list(v("t")), &RTy::list(v("u"))));
-        assert!(te.eq(
+        te.assert_rty(&v("t"), &v("u"));
+        assert!(te.eq_rty(&RTy::list(v("t")), &RTy::list(v("u"))));
+        assert!(te.eq_rty(
             &RTy::func(vec![v("t")], RTy::Int),
             &RTy::func(vec![v("u")], RTy::Int)
         ));
-        assert!(!te.eq(
+        assert!(!te.eq_rty(
             &RTy::func(vec![v("t")], RTy::Int),
             &RTy::func(vec![v("u"), v("u")], RTy::Int)
         ));
@@ -798,13 +839,13 @@ mod tests {
     fn assoc_projections_are_congruent_in_args() {
         // Iterator<I1>.elt == Iterator<I2>.elt follows from I1 == I2.
         let mut te = TypeEq::new();
-        te.assert_eq(&v("I1"), &v("I2"));
-        assert!(te.eq(
+        te.assert_rty(&v("I1"), &v("I2"));
+        assert!(te.eq_rty(
             &assoc(0, vec![v("I1")], "elt"),
             &assoc(0, vec![v("I2")], "elt")
         ));
         // But distinct concepts or names stay distinct.
-        assert!(!te.eq(
+        assert!(!te.eq_rty(
             &assoc(0, vec![v("I1")], "elt"),
             &assoc(1, vec![v("I1")], "elt")
         ));
@@ -817,36 +858,36 @@ mod tests {
         let mut te = TypeEq::new();
         let e1 = assoc(0, vec![v("I1")], "elt");
         let e2 = assoc(0, vec![v("I2")], "elt");
-        te.assert_eq(&e1, &e2);
-        assert!(te.eq(&e1, &e2));
-        assert!(!te.eq(&v("I1"), &v("I2")));
-        assert!(te.eq(&RTy::list(e1), &RTy::list(e2)));
+        te.assert_rty(&e1, &e2);
+        assert!(te.eq_rty(&e1, &e2));
+        assert!(!te.eq_rty(&v("I1"), &v("I2")));
+        assert!(te.eq_rty(&RTy::list(e1), &RTy::list(e2)));
     }
 
     #[test]
     fn transitivity_through_concrete_types() {
         let mut te = TypeEq::new();
         let e1 = assoc(0, vec![v("I")], "elt");
-        te.assert_eq(&e1, &RTy::Int);
-        te.assert_eq(&v("x"), &e1);
-        assert!(te.eq(&v("x"), &RTy::Int));
+        te.assert_rty(&e1, &RTy::Int);
+        te.assert_rty(&v("x"), &e1);
+        assert!(te.eq_rty(&v("x"), &RTy::Int));
     }
 
     #[test]
     fn resolve_prefers_concrete_types() {
         let mut te = TypeEq::new();
         let e1 = assoc(0, vec![v("I")], "elt");
-        te.assert_eq(&e1, &RTy::Int);
-        assert_eq!(te.resolve(&e1), RTy::Int);
-        assert_eq!(te.resolve(&RTy::list(e1)), RTy::list(RTy::Int));
+        te.assert_rty(&e1, &RTy::Int);
+        assert_eq!(te.resolve_rty(&e1), RTy::Int);
+        assert_eq!(te.resolve_rty(&RTy::list(e1)), RTy::list(RTy::Int));
     }
 
     #[test]
     fn resolve_prefers_fresh_var_over_projection() {
         let mut te = TypeEq::new();
         let proj = assoc(0, vec![v("I")], "elt");
-        te.assert_eq(&RTy::Var(s("elt1")), &proj);
-        assert_eq!(te.resolve(&proj), v("elt1"));
+        te.assert_rty(&RTy::Var(s("elt1")), &proj);
+        assert_eq!(te.resolve_rty(&proj), v("elt1"));
     }
 
     #[test]
@@ -856,21 +897,21 @@ mod tests {
         let mut te = TypeEq::new();
         let p1 = assoc(0, vec![v("J1")], "elt");
         let p2 = assoc(0, vec![v("J2")], "elt");
-        te.assert_eq(&RTy::Var(s("elt1")), &p1);
-        te.assert_eq(&RTy::Var(s("elt2")), &p2);
-        te.assert_eq(&p1, &p2);
-        assert_eq!(te.resolve(&p1), v("elt1"));
-        assert_eq!(te.resolve(&p2), v("elt1"));
-        assert_eq!(te.resolve(&v("elt2")), v("elt1"));
+        te.assert_rty(&RTy::Var(s("elt1")), &p1);
+        te.assert_rty(&RTy::Var(s("elt2")), &p2);
+        te.assert_rty(&p1, &p2);
+        assert_eq!(te.resolve_rty(&p1), v("elt1"));
+        assert_eq!(te.resolve_rty(&p2), v("elt1"));
+        assert_eq!(te.resolve_rty(&v("elt2")), v("elt1"));
     }
 
     #[test]
     fn banned_alias_vars_are_never_representatives() {
         let mut te = TypeEq::new();
         te.ban_representative(s("alias"));
-        te.assert_eq(&v("alias"), &RTy::list(RTy::Int));
-        assert_eq!(te.resolve(&v("alias")), RTy::list(RTy::Int));
-        assert!(te.eq(&v("alias"), &RTy::list(RTy::Int)));
+        te.assert_rty(&v("alias"), &RTy::list(RTy::Int));
+        assert_eq!(te.resolve_rty(&v("alias")), RTy::list(RTy::Int));
+        assert!(te.eq_rty(&v("alias"), &RTy::list(RTy::Int)));
     }
 
     #[test]
@@ -886,19 +927,19 @@ mod tests {
             constraints: vec![],
             body: Box::new(RTy::func(vec![v("b")], v("b"))),
         };
-        assert!(te.eq(&f1, &f2));
+        assert!(te.eq_rty(&f1, &f2));
         let f3 = RTy::Forall {
             vars: vec![s("b")],
             constraints: vec![],
             body: Box::new(RTy::func(vec![v("b")], RTy::Int)),
         };
-        assert!(!te.eq(&f1, &f3));
+        assert!(!te.eq_rty(&f1, &f3));
     }
 
     #[test]
     fn foralls_respect_leaf_equalities() {
         let mut te = TypeEq::new();
-        te.assert_eq(&v("t"), &RTy::Int);
+        te.assert_rty(&v("t"), &RTy::Int);
         let f1 = RTy::Forall {
             vars: vec![s("a")],
             constraints: vec![],
@@ -909,7 +950,7 @@ mod tests {
             constraints: vec![],
             body: Box::new(RTy::func(vec![v("b")], RTy::Int)),
         };
-        assert!(te.eq(&f1, &f2));
+        assert!(te.eq_rty(&f1, &f2));
     }
 
     #[test]
@@ -928,27 +969,27 @@ mod tests {
             constraints: vec![],
             body: Box::new(RTy::func(vec![v("b")], RTy::Int)),
         };
-        assert!(!te.eq(&f1, &f2), "not equal before the assertion");
-        te.assert_eq(&v("t"), &RTy::Int);
-        assert!(te.eq(&f1, &f2), "equal after the assertion");
+        assert!(!te.eq_rty(&f1, &f2), "not equal before the assertion");
+        te.assert_rty(&v("t"), &RTy::Int);
+        assert!(te.eq_rty(&f1, &f2), "equal after the assertion");
     }
 
     #[test]
     fn clone_scopes_equalities() {
         let mut outer = TypeEq::new();
-        outer.assert_eq(&v("t"), &RTy::Int);
+        outer.assert_rty(&v("t"), &RTy::Int);
         let mut inner = outer.clone();
-        inner.assert_eq(&v("u"), &RTy::Bool);
-        assert!(inner.eq(&v("t"), &RTy::Int));
-        assert!(inner.eq(&v("u"), &RTy::Bool));
-        assert!(outer.eq(&v("t"), &RTy::Int));
-        assert!(!outer.eq(&v("u"), &RTy::Bool));
+        inner.assert_rty(&v("u"), &RTy::Bool);
+        assert!(inner.eq_rty(&v("t"), &RTy::Int));
+        assert!(inner.eq_rty(&v("u"), &RTy::Bool));
+        assert!(outer.eq_rty(&v("t"), &RTy::Int));
+        assert!(!outer.eq_rty(&v("u"), &RTy::Bool));
     }
 
     #[test]
     fn scope_clones_share_the_interner_arena() {
         let mut outer = TypeEq::new();
-        outer.assert_eq(&v("t"), &RTy::Int);
+        outer.assert_rty(&v("t"), &RTy::Int);
         let inner = outer.clone();
         assert!(outer.interner().same_arena(&inner.interner()));
     }
@@ -956,24 +997,24 @@ mod tests {
     #[test]
     fn cyclic_constraints_terminate() {
         let mut te = TypeEq::new();
-        te.assert_eq(&v("t"), &RTy::list(v("t")));
-        assert!(te.eq(&v("t"), &RTy::list(v("t"))));
+        te.assert_rty(&v("t"), &RTy::list(v("t")));
+        assert!(te.eq_rty(&v("t"), &RTy::list(v("t"))));
         // resolve must not hang.
-        let _ = te.resolve(&v("t"));
+        let _ = te.resolve_rty(&v("t"));
     }
 
     #[test]
     fn explain_returns_none_for_unequal_types() {
         let mut te = TypeEq::new();
-        te.assert_eq(&v("t"), &RTy::Int);
-        assert_eq!(te.explain(&v("t"), &RTy::Bool), None);
+        te.assert_rty(&v("t"), &RTy::Int);
+        assert_eq!(te.explain_rty(&v("t"), &RTy::Bool), None);
     }
 
     #[test]
     fn explain_is_empty_for_syntactic_equality() {
         let mut te = TypeEq::new();
-        te.assert_eq(&v("t"), &RTy::Int);
-        assert_eq!(te.explain(&RTy::Int, &RTy::Int), Some(Vec::new()));
+        te.assert_rty(&v("t"), &RTy::Int);
+        assert_eq!(te.explain_rty(&RTy::Int, &RTy::Int), Some(Vec::new()));
     }
 
     #[test]
@@ -984,26 +1025,26 @@ mod tests {
         // engine (the validity check).
         let mut te = TypeEq::new();
         let proj = assoc(0, vec![v("I")], "elt");
-        te.assert_eq(&v("u"), &RTy::Bool);
-        te.assert_eq(&proj, &RTy::Int);
-        te.assert_eq(&v("x"), &proj);
-        let chain = te.explain(&v("x"), &RTy::Int).expect("equal");
+        te.assert_rty(&v("u"), &RTy::Bool);
+        te.assert_rty(&proj, &RTy::Int);
+        te.assert_rty(&v("x"), &proj);
+        let chain = te.explain_rty(&v("x"), &RTy::Int).expect("equal");
         assert_eq!(chain.len(), 2);
         assert!(!chain.iter().any(|(l, _)| *l == v("u")));
         let mut replay = TypeEq::new();
         for (l, r) in &chain {
-            replay.assert_eq(l, r);
+            replay.assert_rty(l, r);
         }
-        assert!(replay.eq(&v("x"), &RTy::Int));
+        assert!(replay.eq_rty(&v("x"), &RTy::Int));
         // Minimality: dropping any single step breaks the replay.
         for skip in 0..chain.len() {
             let mut partial = TypeEq::new();
             for (i, (l, r)) in chain.iter().enumerate() {
                 if i != skip {
-                    partial.assert_eq(l, r);
+                    partial.assert_rty(l, r);
                 }
             }
-            assert!(!partial.eq(&v("x"), &RTy::Int), "step {skip} was redundant");
+            assert!(!partial.eq_rty(&v("x"), &RTy::Int), "step {skip} was redundant");
         }
     }
 
@@ -1013,15 +1054,15 @@ mod tests {
         // chain is the single asserted equation, and replaying it makes
         // the *derived* equality hold.
         let mut te = TypeEq::new();
-        te.assert_eq(&v("t"), &v("u"));
+        te.assert_rty(&v("t"), &v("u"));
         let (lt, lu) = (RTy::list(v("t")), RTy::list(v("u")));
-        let chain = te.explain(&lt, &lu).expect("equal");
+        let chain = te.explain_rty(&lt, &lu).expect("equal");
         assert_eq!(chain, vec![(v("t"), v("u"))]);
         let mut replay = TypeEq::new();
         for (l, r) in &chain {
-            replay.assert_eq(l, r);
+            replay.assert_rty(l, r);
         }
-        assert!(replay.eq(&lt, &lu));
+        assert!(replay.eq_rty(&lt, &lu));
     }
 
     #[test]
@@ -1030,10 +1071,10 @@ mod tests {
         let tracer = Tracer::enabled();
         let mut te = TypeEq::new();
         te.set_tracer(tracer.clone());
-        te.assert_eq(&v("t"), &v("u"));
+        te.assert_rty(&v("t"), &v("u"));
         // Creating list(t)/list(u) during a query unions them by
         // congruence; the event must be tagged as such.
-        assert!(te.eq(&RTy::list(v("t")), &RTy::list(v("u"))));
+        assert!(te.eq_rty(&RTy::list(v("t")), &RTy::list(v("u"))));
         let events = tracer.events();
         let names: Vec<&str> = events.iter().map(Event::name).collect();
         assert!(names.contains(&"assert_eq"), "{names:?}");
@@ -1050,7 +1091,7 @@ mod tests {
         // Scope clones keep reporting to the same collector.
         let before = tracer.events().len();
         let mut scoped = te.clone();
-        scoped.assert_eq(&v("p"), &v("q"));
+        scoped.assert_rty(&v("p"), &v("q"));
         assert!(tracer.events().len() > before);
     }
 
@@ -1066,7 +1107,7 @@ mod tests {
                 body: Box::new(RTy::func(vec![RTy::Var(s(outer))], RTy::Var(s(inner)))),
             }),
         };
-        assert!(te.eq(&mk("a", "b"), &mk("x", "y")));
+        assert!(te.eq_rty(&mk("a", "b"), &mk("x", "y")));
         // Swapped uses are different.
         let swapped = RTy::Forall {
             vars: vec![s("a")],
@@ -1077,6 +1118,6 @@ mod tests {
                 body: Box::new(RTy::func(vec![v("b")], v("a"))),
             }),
         };
-        assert!(!te.eq(&mk("a", "b"), &swapped));
+        assert!(!te.eq_rty(&mk("a", "b"), &swapped));
     }
 }

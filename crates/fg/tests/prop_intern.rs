@@ -110,20 +110,27 @@ proptest! {
     #[test]
     fn typeeq_agrees_with_tree_walking(a in rty_strategy(), b in rty_strategy()) {
         let mut teq = TypeEq::new();
-        prop_assert_eq!(teq.eq(&a, &b), a == b, "{a:?} vs {b:?}");
-        prop_assert_eq!(teq.resolve(&a), a.clone());
-        prop_assert_eq!(teq.resolve(&b), b.clone());
+        let it = teq.interner();
+        let (ia, ib) = (it.intern(&a), it.intern(&b));
+        prop_assert_eq!(teq.eq(ia, ib), a == b, "{a:?} vs {b:?}");
+        prop_assert_eq!(it.to_rty(teq.resolve(ia)), a.clone());
+        prop_assert_eq!(it.to_rty(teq.resolve(ib)), b.clone());
         // Re-querying after the encode caches warm must not change the
         // answer.
-        prop_assert_eq!(teq.eq(&a, &b), a == b);
+        prop_assert_eq!(teq.eq(ia, ib), a == b);
 
         let mut teq = TypeEq::new();
-        teq.assert_eq(&a, &b);
-        prop_assert!(teq.eq(&a, &b));
-        prop_assert!(teq.eq(&RTy::list(a.clone()), &RTy::list(b.clone())));
+        let it = teq.interner();
+        let (ia, ib) = (it.intern(&a), it.intern(&b));
+        teq.assert_eq(ia, ib);
+        prop_assert!(teq.eq(ia, ib));
         prop_assert!(teq.eq(
-            &RTy::func(vec![a.clone()], RTy::Int),
-            &RTy::func(vec![b.clone()], RTy::Int),
+            it.intern(&RTy::list(a.clone())),
+            it.intern(&RTy::list(b.clone())),
+        ));
+        prop_assert!(teq.eq(
+            it.intern(&RTy::func(vec![a.clone()], RTy::Int)),
+            it.intern(&RTy::func(vec![b.clone()], RTy::Int)),
         ));
     }
 
@@ -180,8 +187,10 @@ fn forall_equality_is_alpha_equivalence() {
         body: Box::new(RTy::func(vec![RTy::Var(sym("y"))], RTy::Var(sym("x")))),
     };
     let mut teq = TypeEq::new();
-    assert!(teq.eq(&fa, &fb), "alpha-renamed foralls must be equal");
-    assert!(!teq.eq(&fa, &free), "free variable capture must not equate");
+    let it = teq.interner();
+    let (fa, fb, free) = (it.intern(&fa), it.intern(&fb), it.intern(&free));
+    assert!(teq.eq(fa, fb), "alpha-renamed foralls must be equal");
+    assert!(!teq.eq(fa, free), "free variable capture must not equate");
 }
 
 /// The paper's Figure 6: with the model index and the where-clause memo
