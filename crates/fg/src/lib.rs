@@ -53,7 +53,7 @@
 //! |---|---|
 //! | [`ast`] | surface syntax (Figures 4 and 11) |
 //! | [`parser`] | recursive-descent parser for the concrete syntax |
-//! | [`rty`] | resolved types ([`rty::RTy`]) with stable concept ids |
+//! | [`rty`] | the checker's hash-consed type arena ([`rty::TyInterner`], [`rty::TyId`]) and the tree form [`rty::RTy`] for diagnostics and the interpreter |
 //! | [`concepts`] | the checked concept table |
 //! | [`typeeq`] | congruence-closure type equality (§5.1) |
 //! | [`check`] | the typechecker and translation to System F (Figures 9, 13) |

@@ -4,9 +4,13 @@
 //! *expressions* with lexical scope (unlike Haskell's global type classes),
 //! the same name may denote different concepts at different program points.
 //! The checker therefore resolves every concept reference to a stable
-//! [`ConceptId`] — an index into the checker's append-only concept table —
-//! producing the `RTy` form used by type equality, model lookup, and the
-//! translation to System F.
+//! [`ConceptId`] — an index into the checker's append-only concept table.
+//!
+//! The checker builds every type as a [`TyId`] handle of a hash-consing
+//! [`TyInterner`] arena. The tree form [`RTy`] is what leaves the checker
+//! (diagnostics, traces, a program's type) and what the direct
+//! interpreter evaluates with; its [`subst`] is the reference the
+//! interner's substitution is tested against.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
