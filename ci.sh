@@ -39,6 +39,10 @@ stage_build() {
 
 stage_test() {
     cargo test -q --offline
+    # The CLI's timing-sensitive tests (deadlines, wall bounds) also run
+    # against the optimized binary users run: a deadline that a debug
+    # build hits can be one a release build never reaches.
+    cargo test -q --release --offline -p fg-cli
     # The end-to-end benchmark harness lives outside the workspace but
     # builds against fg::pool and fg::check; its own tests (answer keys,
     # input generators) must keep passing with every change to them.

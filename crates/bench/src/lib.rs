@@ -13,6 +13,7 @@
 
 pub mod runner;
 
+use std::sync::Arc;
 use system_f::{Prim, Symbol, Term, Ty};
 
 /// Builds an F_G program whose concept hierarchy is a refinement chain of
@@ -177,7 +178,7 @@ pub fn monomorphic_sum(n: usize) -> Term {
             ),
         ),
     );
-    let f = Term::Fix(go, fty, Box::new(body));
+    let f = Term::Fix(go, fty, Arc::new(body));
     Term::app(f, vec![int_list(n)])
 }
 

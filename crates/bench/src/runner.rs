@@ -138,10 +138,17 @@ fn model_lookup(suite: &mut Suite) {
 /// The body every `stl_prelude` entry runs on top of the prelude.
 const PRELUDE_BODY: &str = "accumulate[int](range(1, 10))";
 
+/// The body `stl_prelude/eval_body` evaluates: a 450-element run of
+/// generic algorithms, the size of a `--prelude` `run` request whose
+/// time is mostly System F evaluation.
+const PRELUDE_EVAL_BODY: &str = "min_element[list int](reverse[int](range(0, 450)))";
+
 /// A library-scale program — the full STL-flavoured prelude plus a
-/// body — through parse, check+translate, and evaluation; and the body
+/// body — through parse, check+translate, and evaluation; the body
 /// alone checked against the prelude's snapshot (`check_body`), the
-/// cost of a `--prelude` request's check once its worker is warm.
+/// cost of a `--prelude` request's check once its worker is warm; and
+/// a larger body's translation evaluated in the snapshot's environment
+/// (`eval_body`), the tree evaluator's share of such a request.
 fn stl_prelude(suite: &mut Suite) {
     let src = fg::stdlib::with_prelude(PRELUDE_BODY);
     suite.bench("stl_prelude", "parse", "", || {
@@ -171,6 +178,27 @@ fn stl_prelude(suite: &mut Suite) {
                 Default::default(),
             )
             .0
+            .unwrap()
+    });
+    let body = snapshot
+        .prefix()
+        .parse_body(PRELUDE_EVAL_BODY, Default::default())
+        .expect("body parses");
+    let term = snapshot
+        .check_body(
+            &body,
+            telemetry::trace::Tracer::disabled(),
+            Default::default(),
+        )
+        .0
+        .expect("body checks")
+        .term;
+    // The first evaluation also evaluates the prelude's bindings, once.
+    let first = snapshot.eval_body(&term, &Budget::unlimited());
+    assert_eq!(first, Ok(system_f::Value::Int(0)));
+    suite.bench("stl_prelude", "eval_body", "", || {
+        snapshot
+            .eval_body(black_box(&term), &Budget::unlimited())
             .unwrap()
     });
 }
@@ -354,7 +382,7 @@ mod tests {
         // Every planned benchmark reported, group by group.
         let groups = [
             ("model_lookup", 4),
-            ("stl_prelude", 4),
+            ("stl_prelude", 5),
             ("congruence_scaling", 5 + 3),
             ("throughput", 3),
             ("dictionary_overhead", 4 * 4),
@@ -369,7 +397,7 @@ mod tests {
             assert_eq!(got, count, "entries in group {group}");
         }
         let total: usize = groups.iter().map(|(_, n)| n).sum();
-        assert_eq!(total, 97);
+        assert_eq!(total, 98);
         assert_eq!(report.entries.len(), total);
         // Keys are unique, and every measurement is nonzero.
         let mut keys = HashSet::new();

@@ -488,10 +488,12 @@ fn adversarial_corpus_exits_with_diagnostics() {
     assert!(seen >= 4, "expected at least 4 adversarial examples, saw {seen}");
 }
 
-/// A 12-level refinement lattice whose 8191 dictionary-plan nodes are
-/// all distinct (each level refines the one below at `list t` and at
-/// `fn(t) -> int`): about a second of where-clause planning in a release
-/// build, none of it in expression nodes.
+/// A refinement lattice whose `2^(levels + 1) - 1` dictionary-plan
+/// nodes are all distinct (each level refines the one below at `list t`
+/// and at `fn(t) -> int`), none of its work in expression nodes. At 16
+/// levels (131,071 nodes, under the default 250,000 dict-node cap) an
+/// unbounded check spends about 2.5 s in where-clause planning in a
+/// release build on a 2-vCPU host.
 fn distinct_lattice(levels: usize) -> String {
     let mut src = String::from("concept C0<t> { op : fn(t) -> int; } in\n");
     for i in 1..=levels {
@@ -505,12 +507,14 @@ fn distinct_lattice(levels: usize) -> String {
 }
 
 /// The deadline binds inside where-clause entry: planning, typing and
-/// registering a lattice's dictionaries poll it per plan node.
+/// registering a lattice's dictionaries poll it per plan node. The
+/// lattice's unbounded check takes more than 5× the deadline in a
+/// release build too, so the deadline, not the input, ends the check.
 #[test]
 fn deadline_binds_inside_where_clause_planning() {
     let started = std::time::Instant::now();
     let (_, stderr, code) =
-        run_fg_code(&["--timeout-ms", "200", "check", "-"], &distinct_lattice(12));
+        run_fg_code(&["--timeout-ms", "200", "check", "-"], &distinct_lattice(16));
     let took = started.elapsed();
     assert_eq!(code, 1, "{stderr}");
     assert!(stderr.contains("deadline of 200 ms exceeded during check"), "{stderr}");

@@ -2071,7 +2071,7 @@ impl Checker {
                 let param_tys: Vec<TyId> = rparams.iter().map(|&(_, t)| t).collect();
                 Ok((
                     self.types().func(&param_tys, bty),
-                    Term::Lam(sf_params, Box::new(bterm)),
+                    Term::Lam(sf_params, Arc::new(bterm)),
                     Expr::spanned(
                         ExprKind::Lam(params.clone(), Box::new(belab)),
                         span,
@@ -2105,7 +2105,7 @@ impl Checker {
                                 .copied()
                                 .zip(scope.dict_tys.iter().cloned())
                                 .collect(),
-                            Box::new(bterm),
+                            Arc::new(bterm),
                         )
                     };
                     let ty = self.types().mk(TyNode::Forall {
@@ -2115,7 +2115,7 @@ impl Checker {
                     });
                     Ok((
                         ty,
-                        Term::TyAbs(binders, Box::new(inner)),
+                        Term::TyAbs(binders, Arc::new(inner)),
                         Expr::spanned(
                             ExprKind::TyAbs {
                                 vars: vars.clone(),
@@ -2208,7 +2208,7 @@ impl Checker {
                 let sf_ty = self.tr_ty(rty, span)?;
                 Ok((
                     rty,
-                    Term::Fix(*x, sf_ty, Box::new(bterm)),
+                    Term::Fix(*x, sf_ty, Arc::new(bterm)),
                     Expr::spanned(
                         ExprKind::Fix(*x, ty.clone(), Box::new(belab)),
                         span,
@@ -2872,10 +2872,10 @@ impl Checker {
                         .copied()
                         .zip(scope.dict_tys.iter().cloned())
                         .collect(),
-                    Box::new(inner),
+                    Arc::new(inner),
                 )
             };
-            Term::TyAbs(binders, Box::new(with_dicts))
+            Term::TyAbs(binders, Arc::new(with_dicts))
         } else {
             inner
         };

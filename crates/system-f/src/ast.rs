@@ -9,6 +9,7 @@
 //! `fix` form for the recursion the paper writes as `.x (λ sum. …)`.
 
 use crate::Symbol;
+use std::sync::Arc;
 
 /// System F types.
 ///
@@ -195,10 +196,11 @@ pub enum Term {
     Prim(Prim),
     /// Application `f(e₁,…,eₙ)`.
     App(Box<Term>, Vec<Term>),
-    /// Abstraction `lam x₁:τ₁,…,xₙ:τₙ. e`.
-    Lam(Vec<(Symbol, Ty)>, Box<Term>),
-    /// Type abstraction `biglam t₁,…,tₙ. e`.
-    TyAbs(Vec<Symbol>, Box<Term>),
+    /// Abstraction `lam x₁:τ₁,…,xₙ:τₙ. e`. The body is shared: a
+    /// closure holds the term's own allocation, not a copy.
+    Lam(Vec<(Symbol, Ty)>, Arc<Term>),
+    /// Type abstraction `biglam t₁,…,tₙ. e`, with a shared body.
+    TyAbs(Vec<Symbol>, Arc<Term>),
     /// Type application `e[τ₁,…,τₙ]`.
     TyApp(Box<Term>, Vec<Ty>),
     /// `let x = e₁ in e₂`.
@@ -210,8 +212,8 @@ pub enum Term {
     /// `if e₁ then e₂ else e₃`.
     If(Box<Term>, Box<Term>, Box<Term>),
     /// `fix x:τ. e` — recursive binding; `e` must evaluate without forcing
-    /// `x` (in practice `e` is a `lam`).
-    Fix(Symbol, Ty, Box<Term>),
+    /// `x` (in practice `e` is a `lam`). The body is shared.
+    Fix(Symbol, Ty, Arc<Term>),
 }
 
 impl Term {
@@ -227,7 +229,7 @@ impl Term {
 
     /// Convenience constructor for `lam`.
     pub fn lam(params: Vec<(Symbol, Ty)>, body: Term) -> Term {
-        Term::Lam(params, Box::new(body))
+        Term::Lam(params, Arc::new(body))
     }
 
     /// Convenience constructor for type application.

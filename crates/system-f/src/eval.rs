@@ -6,11 +6,18 @@
 //! and application are evaluated (not erased): `biglam` suspends its body
 //! and `e[τ]` forces it, matching the instantiate-then-run reading in the
 //! paper.
+//!
+//! Steps share rather than copy: a closure holds its `lam`'s body as an
+//! `Arc::clone` of the term's own allocation, its parameter names as an
+//! `Rc<[Symbol]>` that re-binding a `fix` clones by count, and a tuple
+//! (a dictionary) is an `Rc<[Value]>`, so looking a dictionary up or
+//! projecting from it copies no members.
 
 use crate::{Prim, Symbol, Term};
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 use telemetry::fault::{self, FaultMode};
 use telemetry::limits::{Budget, Exhausted, Resource};
 
@@ -23,37 +30,38 @@ pub enum Value {
     Bool(bool),
     /// A (persistent, shared-tail) list.
     List(VList),
-    /// A tuple — in translated code, usually a concept dictionary.
-    Tuple(Vec<Value>),
+    /// A tuple — in translated code, usually a concept dictionary. The
+    /// members are shared, so cloning the value copies no member.
+    Tuple(Rc<[Value]>),
     /// A function closure.
     Closure {
         /// Parameter names (types are erased at runtime).
-        params: Vec<Symbol>,
-        /// The function body.
-        body: Rc<Term>,
+        params: Rc<[Symbol]>,
+        /// The function body: the `lam` term's own body, shared.
+        body: Arc<Term>,
         /// The captured environment.
         env: Env,
     },
     /// A recursive function created by `fix x:τ. lam …`. Unlike
     /// [`Value::Closure`] it does **not** capture itself (which would tie
     /// an `Rc` cycle and leak); instead each application re-binds `name`
-    /// to a fresh copy of this value.
+    /// to a copy of this value, which shares its parameters and body.
     RecClosure {
         /// The `fix`-bound name the body uses to recurse.
         name: Symbol,
         /// Parameter names.
-        params: Vec<Symbol>,
-        /// The function body.
-        body: Rc<Term>,
+        params: Rc<[Symbol]>,
+        /// The function body: the `lam` term's own body, shared.
+        body: Arc<Term>,
         /// The captured environment (without the recursive binding).
         env: Env,
     },
     /// A suspended type abstraction.
     TyClosure {
-        /// The abstracted type variables.
-        vars: Vec<Symbol>,
-        /// The suspended body.
-        body: Rc<Term>,
+        /// How many type variables the abstraction binds.
+        arity: usize,
+        /// The suspended body: the `biglam` term's own body, shared.
+        body: Arc<Term>,
         /// The captured environment.
         env: Env,
     },
@@ -344,29 +352,49 @@ pub fn eval_in(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalErr
         Term::Prim(p) => Ok(Value::Prim(*p)),
         Term::App(f, args) => {
             let fv = eval_in(f, env, budget)?;
-            let mut argv = Vec::with_capacity(args.len());
-            for a in args {
-                argv.push(eval_in(a, env, budget)?);
+            // The common calls need no argument vector: a closure of the
+            // right arity binds each argument as it is evaluated, and a
+            // primitive of one or two arguments takes them on the stack.
+            if let Some((mut call, params, body)) =
+                callee(&fv).filter(|(_, params, _)| params.len() == args.len())
+            {
+                for (p, a) in params.iter().zip(args) {
+                    call = call.bind(*p, eval_in(a, env, budget)?);
+                }
+                return eval_in(body, &call, budget);
             }
-            apply(fv, argv, budget)
+            match (fv, args.as_slice()) {
+                (Value::Prim(p), [a]) => apply_prim(p, &[eval_in(a, env, budget)?]),
+                (Value::Prim(p), [a, b]) => {
+                    let a = eval_in(a, env, budget)?;
+                    apply_prim(p, &[a, eval_in(b, env, budget)?])
+                }
+                (fv, _) => {
+                    let argv = args
+                        .iter()
+                        .map(|a| eval_in(a, env, budget))
+                        .collect::<Result<_, _>>()?;
+                    apply(fv, argv, budget)
+                }
+            }
         }
         Term::Lam(params, body) => Ok(Value::Closure {
             params: params.iter().map(|(n, _)| *n).collect(),
-            body: Rc::new((**body).clone()),
+            body: Arc::clone(body),
             env: env.clone(),
         }),
         Term::TyAbs(vars, body) => Ok(Value::TyClosure {
-            vars: vars.clone(),
-            body: Rc::new((**body).clone()),
+            arity: vars.len(),
+            body: Arc::clone(body),
             env: env.clone(),
         }),
         Term::TyApp(f, args) => {
             let fv = eval_in(f, env, budget)?;
             match fv {
-                Value::TyClosure { vars, body, env } => {
-                    if vars.len() != args.len() {
+                Value::TyClosure { arity, body, env } => {
+                    if arity != args.len() {
                         return Err(EvalError::ArityMismatch {
-                            expected: vars.len(),
+                            expected: arity,
                             found: args.len(),
                         });
                     }
@@ -384,13 +412,11 @@ pub fn eval_in(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalErr
             let v = eval_in(bound, env, budget)?;
             eval_in(body, &env.bind(*x, v), budget)
         }
-        Term::Tuple(items) => {
-            let mut vs = Vec::with_capacity(items.len());
-            for e in items {
-                vs.push(eval_in(e, env, budget)?);
-            }
-            Ok(Value::Tuple(vs))
-        }
+        Term::Tuple(items) => items
+            .iter()
+            .map(|e| eval_in(e, env, budget))
+            .collect::<Result<_, _>>()
+            .map(Value::Tuple),
         Term::Nth(e, i) => match eval_in(e, env, budget)? {
             Value::Tuple(items) => items.get(*i).cloned().ok_or(EvalError::BadProjection),
             _ => Err(EvalError::BadProjection),
@@ -410,7 +436,7 @@ pub fn eval_in(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalErr
                 return Ok(Value::RecClosure {
                     name: *x,
                     params: params.iter().map(|(n, _)| *n).collect(),
-                    body: Rc::new((**lam_body).clone()),
+                    body: Arc::clone(lam_body),
                     env: env.clone(),
                 });
             }
@@ -458,53 +484,43 @@ pub fn eval_lets<'t>(
 /// Applies a function value to evaluated arguments (the application
 /// itself is free; the applied body's nodes charge as they evaluate).
 pub fn apply(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, EvalError> {
+    if let Value::Prim(p) = f {
+        return apply_prim(p, &args);
+    }
+    let Some((mut env, params, body)) = callee(&f) else {
+        return Err(EvalError::NotAFunction(f.to_string()));
+    };
+    if params.len() != args.len() {
+        return Err(EvalError::ArityMismatch {
+            expected: params.len(),
+            found: args.len(),
+        });
+    }
+    for (p, a) in params.iter().zip(args) {
+        env = env.bind(*p, a);
+    }
+    eval_in(body, &env, budget)
+}
+
+/// A closure's parameters and body, with the environment a call of it
+/// starts from: the captured one, and for a recursive closure that one
+/// with the closure itself re-bound to its name (a copy that shares its
+/// parameters and body, so no cycle and no deep copy). `None` for
+/// anything but a closure.
+fn callee(f: &Value) -> Option<(Env, &[Symbol], &Term)> {
     match f {
-        Value::Closure { params, body, env } => {
-            if params.len() != args.len() {
-                return Err(EvalError::ArityMismatch {
-                    expected: params.len(),
-                    found: args.len(),
-                });
-            }
-            let mut env = env;
-            for (p, a) in params.iter().zip(args) {
-                env = env.bind(*p, a);
-            }
-            eval_in(&body, &env, budget)
-        }
+        Value::Closure { params, body, env } => Some((env.clone(), params, body)),
         Value::RecClosure {
             name,
             params,
             body,
             env,
-        } => {
-            if params.len() != args.len() {
-                return Err(EvalError::ArityMismatch {
-                    expected: params.len(),
-                    found: args.len(),
-                });
-            }
-            // Re-bind the recursive name to a fresh copy (no cycle).
-            let mut env2 = env.bind(
-                name,
-                Value::RecClosure {
-                    name,
-                    params: params.clone(),
-                    body: Rc::clone(&body),
-                    env: env.clone(),
-                },
-            );
-            for (p, a) in params.iter().zip(args) {
-                env2 = env2.bind(*p, a);
-            }
-            eval_in(&body, &env2, budget)
-        }
-        Value::Prim(p) => apply_prim(p, args),
-        other => Err(EvalError::NotAFunction(other.to_string())),
+        } => Some((env.bind(*name, f.clone()), params, body)),
+        _ => None,
     }
 }
 
-fn apply_prim(p: Prim, args: Vec<Value>) -> Result<Value, EvalError> {
+fn apply_prim(p: Prim, args: &[Value]) -> Result<Value, EvalError> {
     fn int2(p: Prim, args: &[Value]) -> Result<(i64, i64), EvalError> {
         match args {
             [Value::Int(a), Value::Int(b)] => Ok((*a, *b)),
@@ -518,48 +534,48 @@ fn apply_prim(p: Prim, args: Vec<Value>) -> Result<Value, EvalError> {
         }
     }
     match p {
-        Prim::IAdd => int2(p, &args).map(|(a, b)| Value::Int(a.wrapping_add(b))),
-        Prim::ISub => int2(p, &args).map(|(a, b)| Value::Int(a.wrapping_sub(b))),
-        Prim::IMult => int2(p, &args).map(|(a, b)| Value::Int(a.wrapping_mul(b))),
-        Prim::INeg => match args.as_slice() {
+        Prim::IAdd => int2(p, args).map(|(a, b)| Value::Int(a.wrapping_add(b))),
+        Prim::ISub => int2(p, args).map(|(a, b)| Value::Int(a.wrapping_sub(b))),
+        Prim::IMult => int2(p, args).map(|(a, b)| Value::Int(a.wrapping_mul(b))),
+        Prim::INeg => match args {
             [Value::Int(a)] => Ok(Value::Int(a.wrapping_neg())),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::IEq => int2(p, &args).map(|(a, b)| Value::Bool(a == b)),
-        Prim::ILt => int2(p, &args).map(|(a, b)| Value::Bool(a < b)),
-        Prim::ILe => int2(p, &args).map(|(a, b)| Value::Bool(a <= b)),
-        Prim::BNot => match args.as_slice() {
+        Prim::IEq => int2(p, args).map(|(a, b)| Value::Bool(a == b)),
+        Prim::ILt => int2(p, args).map(|(a, b)| Value::Bool(a < b)),
+        Prim::ILe => int2(p, args).map(|(a, b)| Value::Bool(a <= b)),
+        Prim::BNot => match args {
             [Value::Bool(a)] => Ok(Value::Bool(!a)),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::BAnd => bool2(p, &args).map(|(a, b)| Value::Bool(a && b)),
-        Prim::BOr => bool2(p, &args).map(|(a, b)| Value::Bool(a || b)),
-        Prim::BEq => bool2(p, &args).map(|(a, b)| Value::Bool(a == b)),
+        Prim::BAnd => bool2(p, args).map(|(a, b)| Value::Bool(a && b)),
+        Prim::BOr => bool2(p, args).map(|(a, b)| Value::Bool(a || b)),
+        Prim::BEq => bool2(p, args).map(|(a, b)| Value::Bool(a == b)),
         Prim::Nil => {
             // `nil` is a constant; reaching here means it was applied.
             Err(EvalError::NotAFunction("nil".to_owned()))
         }
-        Prim::Cons => match args.as_slice() {
+        Prim::Cons => match args {
             [head, Value::List(tail)] => {
                 Ok(Value::List(VList::cons(head.clone(), tail.clone())))
             }
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::Car => match args.as_slice() {
+        Prim::Car => match args {
             [Value::List(l)] => l
                 .uncons()
                 .map(|(h, _)| h.clone())
                 .ok_or(EvalError::EmptyList(p)),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::Cdr => match args.as_slice() {
+        Prim::Cdr => match args {
             [Value::List(l)] => l
                 .uncons()
                 .map(|(_, t)| Value::List(t.clone()))
                 .ok_or(EvalError::EmptyList(p)),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::Null => match args.as_slice() {
+        Prim::Null => match args {
             [Value::List(l)] => Ok(Value::Bool(l.is_nil())),
             _ => Err(EvalError::PrimArg(p)),
         },
@@ -619,7 +635,7 @@ mod tests {
     fn type_application_forces_tyabs() {
         let id = Term::TyAbs(
             vec![s("t")],
-            Box::new(Term::lam(vec![(s("x"), Ty::Var(s("t")))], Term::var("x"))),
+            Arc::new(Term::lam(vec![(s("x"), Ty::Var(s("t")))], Term::var("x"))),
         );
         let e = Term::app(Term::tyapp(id, vec![Ty::Int]), vec![Term::IntLit(9)]);
         assert_eq!(eval(&e), Ok(Value::Int(9)));
@@ -676,14 +692,14 @@ mod tests {
                 ),
             ),
         );
-        let f = Term::Fix(s("go"), fty, Box::new(body));
+        let f = Term::Fix(s("go"), fty, Arc::new(body));
         let e = Term::app(f, vec![Term::int_list(&[1, 2, 3, 4])]);
         assert_eq!(eval(&e), Ok(Value::Int(10)));
     }
 
     #[test]
     fn fix_forced_early_is_detected() {
-        let e = Term::Fix(s("x"), Ty::Int, Box::new(Term::var("x")));
+        let e = Term::Fix(s("x"), Ty::Int, Arc::new(Term::var("x")));
         assert_eq!(eval(&e), Err(EvalError::FixForcedEarly(s("x"))));
     }
 
@@ -707,12 +723,79 @@ mod tests {
 
     #[test]
     fn value_display_is_readable() {
-        let v = Value::Tuple(vec![
+        let v = Value::Tuple(Rc::from([
             Value::Int(1),
             Value::List(VList::from_ints(&[2, 3])),
             Value::Prim(Prim::IAdd),
-        ]);
+        ]));
         assert_eq!(v.to_string(), "tuple(1, [2, 3], iadd)");
+    }
+
+    #[test]
+    fn closures_share_their_lam_body() {
+        let lam = Term::lam(vec![(s("x"), Ty::Int)], Term::var("x"));
+        let Term::Lam(_, term_body) = &lam else {
+            unreachable!()
+        };
+        let body_of = |v: Value| match v {
+            Value::Closure { body, .. } => body,
+            other => panic!("not a closure: {other}"),
+        };
+        let first = body_of(eval(&lam).unwrap());
+        let second = body_of(eval(&lam).unwrap());
+        assert!(Arc::ptr_eq(&first, term_body));
+        assert!(Arc::ptr_eq(&second, term_body));
+    }
+
+    #[test]
+    fn recursive_calls_rebind_without_copying() {
+        // fix go. lam n: int. go — each call returns the re-bound `go`.
+        let fty = Ty::func(vec![Ty::Int], Ty::Int);
+        let lam = Term::lam(vec![(s("n"), Ty::Int)], Term::var("go"));
+        let f = eval(&Term::Fix(s("go"), fty, Arc::new(lam))).unwrap();
+        let parts = |v: &Value| match v {
+            Value::RecClosure { params, body, .. } => (Rc::clone(params), Arc::clone(body)),
+            other => panic!("not a recursive closure: {other}"),
+        };
+        let (params, body) = parts(&f);
+        let budget = Budget::unlimited();
+        let mut current = f;
+        for _ in 0..3 {
+            current = apply(current, vec![Value::Int(1)], &budget).unwrap();
+            let (p, b) = parts(&current);
+            assert!(Rc::ptr_eq(&p, &params));
+            assert!(Arc::ptr_eq(&b, &body));
+        }
+    }
+
+    #[test]
+    fn dictionary_lookups_share_the_tuple() {
+        // let d = tuple(tuple(iadd), 0) in tuple(d, d, d.0)
+        let e = Term::let_(
+            s("d"),
+            Term::Tuple(vec![
+                Term::Tuple(vec![Term::Prim(Prim::IAdd)]),
+                Term::IntLit(0),
+            ]),
+            Term::Tuple(vec![
+                Term::var("d"),
+                Term::var("d"),
+                Term::nth(Term::var("d"), 0),
+            ]),
+        );
+        let Ok(Value::Tuple(items)) = eval(&e) else {
+            panic!("not a tuple")
+        };
+        let (Value::Tuple(a), Value::Tuple(b), Value::Tuple(inner)) =
+            (&items[0], &items[1], &items[2])
+        else {
+            panic!("not tuples: {items:?}")
+        };
+        assert!(Rc::ptr_eq(a, b));
+        let Value::Tuple(a0) = &a[0] else {
+            panic!("not a tuple: {}", a[0])
+        };
+        assert!(Rc::ptr_eq(a0, inner));
     }
 
     #[test]

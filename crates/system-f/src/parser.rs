@@ -24,6 +24,7 @@
 use crate::lexer::{lex, LexError, Span, Token, TokenKind};
 use crate::{Prim, Symbol, Term, Ty};
 use std::fmt;
+use std::sync::Arc;
 
 /// Hard ceiling on parser recursion: deep enough for any real program,
 /// shallow enough that a pathological `((((…))))` cannot overflow an
@@ -334,7 +335,7 @@ impl Parser {
             }
             self.expect(TokenKind::Dot, "`.`")?;
             let body = self.term()?;
-            return Ok(Term::Lam(params, Box::new(body)));
+            return Ok(Term::Lam(params, Arc::new(body)));
         }
         if self.at_kw("biglam") {
             self.bump();
@@ -344,7 +345,7 @@ impl Parser {
             }
             self.expect(TokenKind::Dot, "`.`")?;
             let body = self.term()?;
-            return Ok(Term::TyAbs(vars, Box::new(body)));
+            return Ok(Term::TyAbs(vars, Arc::new(body)));
         }
         if self.at_kw("let") {
             self.bump();
@@ -371,7 +372,7 @@ impl Parser {
             let ty = self.ty()?;
             self.expect(TokenKind::Dot, "`.`")?;
             let body = self.term()?;
-            return Ok(Term::Fix(x, ty, Box::new(body)));
+            return Ok(Term::Fix(x, ty, Arc::new(body)));
         }
         self.postfix()
     }

@@ -201,6 +201,7 @@ fn fmt_term(t: &Term, f: &mut fmt::Formatter<'_>) -> fmt::Result {
 mod tests {
     use super::*;
     use crate::{Prim, Symbol};
+    use std::sync::Arc;
 
     fn s(name: &str) -> Symbol {
         Symbol::intern(name)
@@ -268,7 +269,7 @@ mod tests {
             Term::if_(Term::BoolLit(true), Term::var("x"), Term::IntLit(0)),
         );
         assert_eq!(e.to_string(), "let x = 1 in if true then x else 0");
-        let f = Term::Fix(s("g"), Ty::Int, Box::new(Term::IntLit(1)));
+        let f = Term::Fix(s("g"), Ty::Int, Arc::new(Term::IntLit(1)));
         assert_eq!(f.to_string(), "fix g: int. 1");
     }
 }

@@ -14,6 +14,7 @@
 //! the specification. A differential property test asserts they agree.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use crate::types::{free_ty_vars, free_ty_vars_into, subst as subst_ty_map};
 use crate::{Prim, Symbol, Term, Ty};
@@ -132,9 +133,9 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
                     p.0 = fresh;
                 }
             }
-            Term::Lam(params, Box::new(go(&body, x, v, v_fvs)))
+            Term::Lam(params, Arc::new(go(&body, x, v, v_fvs)))
         }
-        Term::TyAbs(vars, body) => Term::TyAbs(vars.clone(), Box::new(go(body, x, v, v_fvs))),
+        Term::TyAbs(vars, body) => Term::TyAbs(vars.clone(), Arc::new(go(body, x, v, v_fvs))),
         Term::TyApp(f, tys) => Term::TyApp(Box::new(go(f, x, v, v_fvs)), tys.clone()),
         Term::Let(y, e1, e2) => {
             let e1 = go(e1, x, v, v_fvs);
@@ -163,9 +164,9 @@ fn go(t: &Term, x: Symbol, v: &Term, v_fvs: &[Symbol]) -> Term {
             } else if v_fvs.contains(y) {
                 let fresh = rename_binders(&[*y], x, v_fvs, body)[0];
                 let bodyr = subst_term(body, *y, &Term::Var(fresh));
-                Term::Fix(fresh, ty.clone(), Box::new(go(&bodyr, x, v, v_fvs)))
+                Term::Fix(fresh, ty.clone(), Arc::new(go(&bodyr, x, v, v_fvs)))
             } else {
-                Term::Fix(*y, ty.clone(), Box::new(go(body, x, v, v_fvs)))
+                Term::Fix(*y, ty.clone(), Arc::new(go(body, x, v, v_fvs)))
             }
         }
     }
@@ -229,7 +230,7 @@ pub fn subst_ty_in_term(t: &Term, map: &HashMap<Symbol, Ty>) -> Term {
                 .iter()
                 .map(|(x, ty)| (*x, subst_ty_map(ty, map)))
                 .collect(),
-            Box::new(subst_ty_in_term(body, map)),
+            Arc::new(subst_ty_in_term(body, map)),
         ),
         Term::TyAbs(vars, body) => {
             // Drop shadowed mappings; rename binders that would capture a
@@ -245,7 +246,7 @@ pub fn subst_ty_in_term(t: &Term, map: &HashMap<Symbol, Ty>) -> Term {
             for (&v, &n) in vars.iter().zip(&new_vars).filter(|(v, n)| v != n) {
                 inner.insert(v, Ty::Var(n));
             }
-            Term::TyAbs(new_vars, Box::new(subst_ty_in_term(body, &inner)))
+            Term::TyAbs(new_vars, Arc::new(subst_ty_in_term(body, &inner)))
         }
         Term::TyApp(f, tys) => Term::TyApp(
             Box::new(subst_ty_in_term(f, map)),
@@ -268,7 +269,7 @@ pub fn subst_ty_in_term(t: &Term, map: &HashMap<Symbol, Ty>) -> Term {
         Term::Fix(x, ty, body) => Term::Fix(
             *x,
             subst_ty_map(ty, map),
-            Box::new(subst_ty_in_term(body, map)),
+            Arc::new(subst_ty_in_term(body, map)),
         ),
     }
 }

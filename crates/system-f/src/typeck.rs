@@ -318,6 +318,7 @@ fn check(term: &Term, ctx: &mut Ctx) -> Result<Ty, TypeError> {
 mod tests {
     use super::*;
     use crate::Prim;
+    use std::sync::Arc;
 
     fn s(name: &str) -> Symbol {
         Symbol::intern(name)
@@ -341,7 +342,7 @@ mod tests {
     fn identity_function() {
         let id = Term::TyAbs(
             vec![s("t")],
-            Box::new(Term::lam(
+            Arc::new(Term::lam(
                 vec![(s("x"), Ty::Var(s("t")))],
                 Term::var("x"),
             )),
@@ -440,10 +441,10 @@ mod tests {
         let ok = Term::Fix(
             s("f"),
             fty.clone(),
-            Box::new(Term::lam(vec![(s("n"), Ty::Int)], Term::var("n"))),
+            Arc::new(Term::lam(vec![(s("n"), Ty::Int)], Term::var("n"))),
         );
         assert_eq!(typecheck(&ok), Ok(fty.clone()));
-        let bad = Term::Fix(s("f"), fty, Box::new(Term::IntLit(3)));
+        let bad = Term::Fix(s("f"), fty, Arc::new(Term::IntLit(3)));
         assert!(matches!(typecheck(&bad), Err(TypeError::FixMismatch { .. })));
     }
 
@@ -472,7 +473,7 @@ mod tests {
             Term::var("x"),
         );
         assert!(matches!(typecheck(&e), Err(TypeError::DuplicateBinder(_))));
-        let e = Term::TyAbs(vec![s("t"), s("t")], Box::new(Term::IntLit(1)));
+        let e = Term::TyAbs(vec![s("t"), s("t")], Arc::new(Term::IntLit(1)));
         assert!(matches!(typecheck(&e), Err(TypeError::DuplicateBinder(_))));
     }
 
@@ -531,7 +532,7 @@ mod tests {
         let sum = Term::Fix(
             s("sum"),
             sum_ty,
-            Box::new(Term::lam(
+            Arc::new(Term::lam(
                 vec![
                     (ls, Ty::list(t.clone())),
                     (add, Ty::func(vec![t.clone(), t.clone()], t.clone())),

@@ -7,6 +7,7 @@
 //! argument, tested directly on the target language.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use system_f::smallstep::{normalize, step, Stuck};
 use system_f::types::alpha_eq;
 use system_f::{eval, typecheck, Symbol, Term, Ty, Value};
@@ -105,7 +106,7 @@ fn gen_term(rng: &mut Rng, ctx: &mut Ctx, ty: &Ty, depth: usize) -> Term {
             let x = Symbol::intern("x");
             let id = Term::TyAbs(
                 vec![a],
-                Box::new(Term::lam(vec![(x, Ty::Var(a))], Term::Var(x))),
+                Arc::new(Term::lam(vec![(x, Ty::Var(a))], Term::Var(x))),
             );
             Term::app(
                 Term::tyapp(id, vec![ty.clone()]),
@@ -174,7 +175,7 @@ fn ground(rng: &mut Rng, ctx: &mut Ctx, ty: &Ty) -> Term {
                 .collect();
             let body = gen_term(rng, ctx, ret, 1);
             ctx.vars.truncate(n);
-            Term::Lam(binders, Box::new(body))
+            Term::Lam(binders, Arc::new(body))
         }
         Ty::Tuple(items) => Term::Tuple(
             items.iter().map(|t| ground(rng, ctx, t)).collect(),

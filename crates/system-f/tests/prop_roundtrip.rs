@@ -3,6 +3,7 @@
 //! syntax trees.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use system_f::{parse_term, parse_ty, Prim, Symbol, Term, Ty};
 
 /// Identifier pool, chosen to avoid keywords and primitive names so the
@@ -53,9 +54,9 @@ fn term_strategy() -> impl Strategy<Value = Term> {
                 proptest::collection::vec((name(), ty.clone()), 1..3),
                 inner.clone()
             )
-                .prop_map(|(ps, b)| Term::Lam(ps, Box::new(b))),
+                .prop_map(|(ps, b)| Term::Lam(ps, Arc::new(b))),
             (proptest::collection::vec(name(), 1..3), inner.clone())
-                .prop_map(|(vs, b)| Term::TyAbs(vs, Box::new(b))),
+                .prop_map(|(vs, b)| Term::TyAbs(vs, Arc::new(b))),
             (inner.clone(), proptest::collection::vec(ty.clone(), 1..3))
                 .prop_map(|(f, tys)| Term::TyApp(Box::new(f), tys)),
             (name(), inner.clone(), inner.clone())
@@ -64,7 +65,7 @@ fn term_strategy() -> impl Strategy<Value = Term> {
             (inner.clone(), 0usize..4).prop_map(|(e, i)| Term::Nth(Box::new(e), i)),
             (inner.clone(), inner.clone(), inner.clone())
                 .prop_map(|(c, t, e)| Term::if_(c, t, e)),
-            (name(), ty, inner).prop_map(|(x, t, b)| Term::Fix(x, t, Box::new(b))),
+            (name(), ty, inner).prop_map(|(x, t, b)| Term::Fix(x, t, Arc::new(b))),
         ]
     })
 }

@@ -182,11 +182,17 @@ pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
 
 /// Called by instrumented points. Returns `Some(mode)` when an armed
 /// fault fires at `point` on this visit; otherwise `None`. Near-free
-/// when no plan is active.
+/// when no plan is active: one relaxed load, inlined into the caller.
+#[inline]
 pub fn hit(point: &str) -> Option<FaultMode> {
     if ACTIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
+    hit_armed(point)
+}
+
+/// [`hit`] once some plan is armed.
+fn hit_armed(point: &str) -> Option<FaultMode> {
     debug_assert!(POINTS.contains(&point), "unlisted fault point `{point}`");
     let scoped = SCOPED.with(|s| s.borrow().clone());
     if let Some(plan) = scoped {

@@ -19,8 +19,21 @@
 //!   into their own structured error. Overshoot between polls is bounded
 //!   by one operation.
 //!
-//! All counters are atomics so one `Arc<Budget>` can be shared across
-//! the checker's big-stack worker thread and the calling thread.
+//! # One writer at a time
+//!
+//! A request's budget is charged by **one thread at a time**. It moves
+//! between threads only at points that order memory: the checker's
+//! big-stack worker (`spawn_scoped`, then `join`), or a request handed
+//! to a pool task and its result handed back. Every charge is therefore
+//! a relaxed load and a relaxed store, not a locked read-modify-write:
+//! the evaluators charge fuel and depth on every node, and a locked
+//! `fetch_add` there cost as much as the node itself. The peak depth is
+//! stored only when it is exceeded. The counters stay atomics so that
+//! `Budget` is `Sync` (one `Arc<Budget>` is held by several components)
+//! and a reader on another thread sees a value, never a torn one; the
+//! latched [`Exhausted`] record is a `OnceLock`, so a trip from any
+//! thread is safe. Two threads charging one budget *at the same time*
+//! would lose counts; nothing in the pipeline does that.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -210,6 +223,7 @@ impl Budget {
     }
 
     /// Polls the sticky state: `Err` once anything has been exhausted.
+    #[inline]
     pub fn ok(&self) -> Result<(), Exhausted> {
         match self.exhausted.get() {
             Some(e) => Err(*e),
@@ -227,9 +241,10 @@ impl Budget {
 
     /// Charges `n` abstract work units; re-checks the deadline every
     /// [`DEADLINE_POLL_MASK`]+1 charges.
+    #[inline]
     pub fn charge_fuel(&self, n: u64) -> Result<(), Exhausted> {
         self.ok()?;
-        let spent = self.fuel_spent.fetch_add(n, Ordering::Relaxed) + n;
+        let spent = bump(&self.fuel_spent, n);
         if let Some(limit) = self.limits.fuel {
             if spent > limit {
                 return Err(self.trip(Resource::Fuel, limit));
@@ -244,7 +259,7 @@ impl Budget {
     /// Charges one hash-consed congruence node.
     pub fn charge_cc_term(&self) -> Result<(), Exhausted> {
         self.ok()?;
-        let made = self.cc_terms.fetch_add(1, Ordering::Relaxed) + 1;
+        let made = bump(&self.cc_terms, 1);
         if let Some(limit) = self.limits.max_cc_terms {
             if made > limit {
                 return Err(self.trip(Resource::CcTerms, limit));
@@ -261,13 +276,9 @@ impl Budget {
     pub fn charge_dict_nodes(&self, n: u64) -> Result<(), Exhausted> {
         self.ok()?;
         let cap = self.limits.max_dict_nodes.map_or(u64::MAX, |l| l.saturating_add(1));
-        let before = self
-            .dict_nodes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
-                Some(c.saturating_add(n).min(cap))
-            })
-            .unwrap_or_else(|prev| prev);
+        let before = self.dict_nodes.load(Ordering::Relaxed);
         let made = before.saturating_add(n);
+        self.dict_nodes.store(made.min(cap), Ordering::Relaxed);
         if let Some(limit) = self.limits.max_dict_nodes {
             if made > limit {
                 return Err(self.trip(Resource::DictNodes, limit));
@@ -292,16 +303,19 @@ impl Budget {
 
     /// Enters one level of recursion; the returned guard leaves it on
     /// drop. Fails when the depth cap is exceeded.
+    #[inline]
     pub fn enter(&self) -> Result<DepthGuard<'_>, Exhausted> {
         self.ok()?;
-        let d = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        let d = self.depth.load(Ordering::Relaxed) + 1;
         if let Some(limit) = self.limits.max_depth {
             if d > limit {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
                 return Err(self.trip(Resource::Depth, limit));
             }
         }
-        self.depth_peak.fetch_max(d, Ordering::Relaxed);
+        self.depth.store(d, Ordering::Relaxed);
+        if d > self.depth_peak.load(Ordering::Relaxed) {
+            self.depth_peak.store(d, Ordering::Relaxed);
+        }
         Ok(DepthGuard(self))
     }
 
@@ -337,9 +351,20 @@ impl Budget {
 pub struct DepthGuard<'a>(&'a Budget);
 
 impl Drop for DepthGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
-        self.0.depth.fetch_sub(1, Ordering::Relaxed);
+        let depth = &self.0.depth;
+        depth.store(depth.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
     }
+}
+
+/// Adds `n` to a single-writer counter (see the module docs) and returns
+/// the new value: a load and a store, no locked read-modify-write.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) -> u64 {
+    let v = counter.load(Ordering::Relaxed) + n;
+    counter.store(v, Ordering::Relaxed);
+    v
 }
 
 #[cfg(test)]
@@ -413,6 +438,83 @@ mod tests {
         }
         assert_eq!(b.depth.load(Ordering::Relaxed), 0);
         assert_eq!(b.depth_peak(), 2);
+    }
+
+    #[test]
+    fn charges_stay_exact_across_spawn_and_join() {
+        use std::sync::Arc;
+        let b = Arc::new(Budget::new(Limits {
+            fuel: Some(1_000),
+            max_depth: Some(6),
+            ..Limits::UNLIMITED
+        }));
+        let outer = b.enter().unwrap();
+        for _ in 0..100 {
+            b.charge_fuel(1).unwrap();
+        }
+        // A scoped worker carries on where this thread stopped, as the
+        // checker's big-stack thread does.
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _g: Vec<_> = (0..3).map(|_| b.enter().unwrap()).collect();
+                    for _ in 0..400 {
+                        b.charge_fuel(1).unwrap();
+                    }
+                })
+                .join()
+                .unwrap();
+        });
+        assert_eq!(b.fuel_spent(), 500);
+        assert_eq!(b.depth_peak(), 4);
+        assert_eq!(b.depth.load(Ordering::Relaxed), 1);
+        drop(outer);
+        // Handed to another thread, as a pool task is: the depth cap
+        // trips at exactly `limit + 1` and the fuel cap at `limit + 1`.
+        let moved = Arc::clone(&b);
+        let (depth_err, fuel_err, spent) = std::thread::spawn(move || {
+            let guards: Vec<_> = (0..6).map(|_| moved.enter().unwrap()).collect();
+            let depth_err = moved.enter().unwrap_err();
+            drop(guards);
+            (
+                depth_err,
+                moved.charge_fuel(1).unwrap_err(),
+                moved.fuel_spent(),
+            )
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            depth_err,
+            Exhausted {
+                resource: Resource::Depth,
+                limit: 6
+            }
+        );
+        // The depth trip is sticky, so the later fuel charge reports it
+        // and counts nothing.
+        assert_eq!(fuel_err, depth_err);
+        assert_eq!(spent, 500);
+        assert_eq!(b.depth_peak(), 6);
+        assert_eq!(b.depth.load(Ordering::Relaxed), 0);
+
+        let f = Arc::new(Budget::new(Limits {
+            fuel: Some(1_000),
+            ..Limits::UNLIMITED
+        }));
+        let moved = Arc::clone(&f);
+        std::thread::spawn(move || {
+            for _ in 0..600 {
+                moved.charge_fuel(1).unwrap();
+            }
+        })
+        .join()
+        .unwrap();
+        for _ in 0..400 {
+            f.charge_fuel(1).unwrap();
+        }
+        assert_eq!(f.charge_fuel(1).unwrap_err().resource, Resource::Fuel);
+        assert_eq!(f.fuel_spent(), 1_001);
     }
 
     #[test]
