@@ -492,7 +492,7 @@ fn adversarial_corpus_exits_with_diagnostics() {
 /// nodes are all distinct (each level refines the one below at `list t`
 /// and at `fn(t) -> int`), none of its work in expression nodes. At 16
 /// levels (131,071 nodes, under the default 250,000 dict-node cap) an
-/// unbounded check spends about 2.5 s in where-clause planning in a
+/// unbounded check spends 2.6–3.0 s in where-clause planning in a
 /// release build on a 2-vCPU host.
 fn distinct_lattice(levels: usize) -> String {
     let mut src = String::from("concept C0<t> { op : fn(t) -> int; } in\n");

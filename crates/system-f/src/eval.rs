@@ -556,9 +556,7 @@ fn apply_prim(p: Prim, args: &[Value]) -> Result<Value, EvalError> {
             Err(EvalError::NotAFunction("nil".to_owned()))
         }
         Prim::Cons => match args {
-            [head, Value::List(tail)] => {
-                Ok(Value::List(VList::cons(head.clone(), tail.clone())))
-            }
+            [head, Value::List(tail)] => Ok(Value::List(VList::cons(head.clone(), tail.clone()))),
             _ => Err(EvalError::PrimArg(p)),
         },
         Prim::Car => match args {
