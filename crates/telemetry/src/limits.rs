@@ -33,7 +33,9 @@
 //! and a reader on another thread sees a value, never a torn one; the
 //! latched [`Exhausted`] record is a `OnceLock`, so a trip from any
 //! thread is safe. Two threads charging one budget *at the same time*
-//! would lose counts; nothing in the pipeline does that.
+//! would lose counts; nothing in the pipeline does that, and debug
+//! builds check it: every counter write there is a swap that panics
+//! when the counter changed since the charge loaded it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -278,7 +280,7 @@ impl Budget {
         let cap = self.limits.max_dict_nodes.map_or(u64::MAX, |l| l.saturating_add(1));
         let before = self.dict_nodes.load(Ordering::Relaxed);
         let made = before.saturating_add(n);
-        self.dict_nodes.store(made.min(cap), Ordering::Relaxed);
+        set(&self.dict_nodes, before, made.min(cap));
         if let Some(limit) = self.limits.max_dict_nodes {
             if made > limit {
                 return Err(self.trip(Resource::DictNodes, limit));
@@ -312,9 +314,10 @@ impl Budget {
                 return Err(self.trip(Resource::Depth, limit));
             }
         }
-        self.depth.store(d, Ordering::Relaxed);
-        if d > self.depth_peak.load(Ordering::Relaxed) {
-            self.depth_peak.store(d, Ordering::Relaxed);
+        set(&self.depth, d - 1, d);
+        let peak = self.depth_peak.load(Ordering::Relaxed);
+        if d > peak {
+            set(&self.depth_peak, peak, d);
         }
         Ok(DepthGuard(self))
     }
@@ -354,7 +357,8 @@ impl Drop for DepthGuard<'_> {
     #[inline]
     fn drop(&mut self) {
         let depth = &self.0.depth;
-        depth.store(depth.load(Ordering::Relaxed) - 1, Ordering::Relaxed);
+        let d = depth.load(Ordering::Relaxed);
+        set(depth, d, d - 1);
     }
 }
 
@@ -362,9 +366,23 @@ impl Drop for DepthGuard<'_> {
 /// the new value: a load and a store, no locked read-modify-write.
 #[inline]
 fn bump(counter: &AtomicU64, n: u64) -> u64 {
-    let v = counter.load(Ordering::Relaxed) + n;
-    counter.store(v, Ordering::Relaxed);
-    v
+    let old = counter.load(Ordering::Relaxed);
+    set(counter, old, old + n);
+    old + n
+}
+
+/// Moves a single-writer counter from `old`, which the caller has just
+/// loaded, to `new`. Release builds store; debug builds swap and panic
+/// if another thread wrote the counter in between, so a second writer
+/// fails the tests instead of silently losing counts.
+#[inline]
+fn set(counter: &AtomicU64, old: u64, new: u64) {
+    if cfg!(debug_assertions) {
+        let seen = counter.swap(new, Ordering::Relaxed);
+        assert_eq!(seen, old, "a Budget was charged by two threads at once");
+    } else {
+        counter.store(new, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -590,5 +608,17 @@ mod tests {
     fn budget_is_sync() {
         fn assert_sync<T: Sync + Send>() {}
         assert_sync::<Budget>();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "charged by two threads at once")]
+    fn debug_builds_catch_a_second_writer() {
+        // A charge loads fuel_spent, another writer stores to it, then
+        // the charge writes back what it loaded plus one.
+        let b = Budget::unlimited();
+        let old = b.fuel_spent.load(Ordering::Relaxed);
+        b.fuel_spent.store(old + 5, Ordering::Relaxed);
+        set(&b.fuel_spent, old, old + 1);
     }
 }
