@@ -352,11 +352,31 @@ pub fn eval_in(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalErr
         Term::Prim(p) => Ok(Value::Prim(*p)),
         Term::App(f, args) => {
             let fv = eval_in(f, env, budget)?;
-            let mut argv = Vec::with_capacity(args.len());
-            for a in args {
-                argv.push(eval_in(a, env, budget)?);
+            // The common calls need no argument vector: a closure of the
+            // right arity binds each argument as it is evaluated, and a
+            // primitive of one or two arguments takes them on the stack.
+            if let Some((mut call, params, body)) =
+                callee(&fv).filter(|(_, params, _)| params.len() == args.len())
+            {
+                for (p, a) in params.iter().zip(args) {
+                    call = call.bind(*p, eval_in(a, env, budget)?);
+                }
+                return eval_in(body, &call, budget);
             }
-            apply(fv, argv, budget)
+            match (fv, args.as_slice()) {
+                (Value::Prim(p), [a]) => apply_prim(p, &[eval_in(a, env, budget)?]),
+                (Value::Prim(p), [a, b]) => {
+                    let a = eval_in(a, env, budget)?;
+                    apply_prim(p, &[a, eval_in(b, env, budget)?])
+                }
+                (fv, _) => {
+                    let argv = args
+                        .iter()
+                        .map(|a| eval_in(a, env, budget))
+                        .collect::<Result<_, _>>()?;
+                    apply(fv, argv, budget)
+                }
+            }
         }
         Term::Lam(params, body) => Ok(Value::Closure {
             params: params.iter().map(|(n, _)| *n).collect(),
@@ -464,18 +484,11 @@ pub fn eval_lets<'t>(
 /// Applies a function value to evaluated arguments (the application
 /// itself is free; the applied body's nodes charge as they evaluate).
 pub fn apply(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, EvalError> {
-    let (mut env, params, body) = match &f {
-        Value::Closure { params, body, env } => (env.clone(), params, body),
-        // Re-bind the recursive name to a copy of this value, which
-        // shares its parameters and body (no cycle, no deep copy).
-        Value::RecClosure {
-            name,
-            params,
-            body,
-            env,
-        } => (env.bind(*name, f.clone()), params, body),
-        Value::Prim(p) => return apply_prim(*p, args),
-        other => return Err(EvalError::NotAFunction(other.to_string())),
+    if let Value::Prim(p) = f {
+        return apply_prim(p, &args);
+    }
+    let Some((mut env, params, body)) = callee(&f) else {
+        return Err(EvalError::NotAFunction(f.to_string()));
     };
     if params.len() != args.len() {
         return Err(EvalError::ArityMismatch {
@@ -489,7 +502,25 @@ pub fn apply(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, EvalE
     eval_in(body, &env, budget)
 }
 
-fn apply_prim(p: Prim, args: Vec<Value>) -> Result<Value, EvalError> {
+/// A closure's parameters and body, with the environment a call of it
+/// starts from: the captured one, and for a recursive closure that one
+/// with the closure itself re-bound to its name (a copy that shares its
+/// parameters and body, so no cycle and no deep copy). `None` for
+/// anything but a closure.
+fn callee(f: &Value) -> Option<(Env, &[Symbol], &Term)> {
+    match f {
+        Value::Closure { params, body, env } => Some((env.clone(), params, body)),
+        Value::RecClosure {
+            name,
+            params,
+            body,
+            env,
+        } => Some((env.bind(*name, f.clone()), params, body)),
+        _ => None,
+    }
+}
+
+fn apply_prim(p: Prim, args: &[Value]) -> Result<Value, EvalError> {
     fn int2(p: Prim, args: &[Value]) -> Result<(i64, i64), EvalError> {
         match args {
             [Value::Int(a), Value::Int(b)] => Ok((*a, *b)),
@@ -503,48 +534,46 @@ fn apply_prim(p: Prim, args: Vec<Value>) -> Result<Value, EvalError> {
         }
     }
     match p {
-        Prim::IAdd => int2(p, &args).map(|(a, b)| Value::Int(a.wrapping_add(b))),
-        Prim::ISub => int2(p, &args).map(|(a, b)| Value::Int(a.wrapping_sub(b))),
-        Prim::IMult => int2(p, &args).map(|(a, b)| Value::Int(a.wrapping_mul(b))),
-        Prim::INeg => match args.as_slice() {
+        Prim::IAdd => int2(p, args).map(|(a, b)| Value::Int(a.wrapping_add(b))),
+        Prim::ISub => int2(p, args).map(|(a, b)| Value::Int(a.wrapping_sub(b))),
+        Prim::IMult => int2(p, args).map(|(a, b)| Value::Int(a.wrapping_mul(b))),
+        Prim::INeg => match args {
             [Value::Int(a)] => Ok(Value::Int(a.wrapping_neg())),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::IEq => int2(p, &args).map(|(a, b)| Value::Bool(a == b)),
-        Prim::ILt => int2(p, &args).map(|(a, b)| Value::Bool(a < b)),
-        Prim::ILe => int2(p, &args).map(|(a, b)| Value::Bool(a <= b)),
-        Prim::BNot => match args.as_slice() {
+        Prim::IEq => int2(p, args).map(|(a, b)| Value::Bool(a == b)),
+        Prim::ILt => int2(p, args).map(|(a, b)| Value::Bool(a < b)),
+        Prim::ILe => int2(p, args).map(|(a, b)| Value::Bool(a <= b)),
+        Prim::BNot => match args {
             [Value::Bool(a)] => Ok(Value::Bool(!a)),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::BAnd => bool2(p, &args).map(|(a, b)| Value::Bool(a && b)),
-        Prim::BOr => bool2(p, &args).map(|(a, b)| Value::Bool(a || b)),
-        Prim::BEq => bool2(p, &args).map(|(a, b)| Value::Bool(a == b)),
+        Prim::BAnd => bool2(p, args).map(|(a, b)| Value::Bool(a && b)),
+        Prim::BOr => bool2(p, args).map(|(a, b)| Value::Bool(a || b)),
+        Prim::BEq => bool2(p, args).map(|(a, b)| Value::Bool(a == b)),
         Prim::Nil => {
             // `nil` is a constant; reaching here means it was applied.
             Err(EvalError::NotAFunction("nil".to_owned()))
         }
-        Prim::Cons => match args.as_slice() {
-            [head, Value::List(tail)] => {
-                Ok(Value::List(VList::cons(head.clone(), tail.clone())))
-            }
+        Prim::Cons => match args {
+            [head, Value::List(tail)] => Ok(Value::List(VList::cons(head.clone(), tail.clone()))),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::Car => match args.as_slice() {
+        Prim::Car => match args {
             [Value::List(l)] => l
                 .uncons()
                 .map(|(h, _)| h.clone())
                 .ok_or(EvalError::EmptyList(p)),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::Cdr => match args.as_slice() {
+        Prim::Cdr => match args {
             [Value::List(l)] => l
                 .uncons()
                 .map(|(_, t)| Value::List(t.clone()))
                 .ok_or(EvalError::EmptyList(p)),
             _ => Err(EvalError::PrimArg(p)),
         },
-        Prim::Null => match args.as_slice() {
+        Prim::Null => match args {
             [Value::List(l)] => Ok(Value::Bool(l.is_nil())),
             _ => Err(EvalError::PrimArg(p)),
         },

@@ -372,17 +372,20 @@ fn bump(counter: &AtomicU64, n: u64) -> u64 {
 }
 
 /// Moves a single-writer counter from `old`, which the caller has just
-/// loaded, to `new`. Release builds store; debug builds swap and panic
-/// if another thread wrote the counter in between, so a second writer
-/// fails the tests instead of silently losing counts.
+/// loaded, to `new`: a relaxed store.
+#[cfg(not(debug_assertions))]
 #[inline]
+fn set(counter: &AtomicU64, _old: u64, new: u64) {
+    counter.store(new, Ordering::Relaxed);
+}
+
+/// Debug builds swap instead, and panic if another thread wrote the
+/// counter since `old` was loaded: a second writer fails the tests
+/// instead of silently losing counts.
+#[cfg(debug_assertions)]
 fn set(counter: &AtomicU64, old: u64, new: u64) {
-    if cfg!(debug_assertions) {
-        let seen = counter.swap(new, Ordering::Relaxed);
-        assert_eq!(seen, old, "a Budget was charged by two threads at once");
-    } else {
-        counter.store(new, Ordering::Relaxed);
-    }
+    let seen = counter.swap(new, Ordering::Relaxed);
+    assert_eq!(seen, old, "a Budget was charged by two threads at once");
 }
 
 #[cfg(test)]
