@@ -352,9 +352,13 @@ pub fn eval_in(term: &Term, env: &Env, budget: &Budget) -> Result<Value, EvalErr
         Term::Prim(p) => Ok(Value::Prim(*p)),
         Term::App(f, args) => {
             let fv = eval_in(f, env, budget)?;
-            // The common calls need no argument vector: a closure of the
+            // Two direct paths with no argument vector: a closure of the
             // right arity binds each argument as it is evaluated, and a
             // primitive of one or two arguments takes them on the stack.
+            // Every application in the prelude's `run` bodies takes one
+            // of them, and they cut `prelude_serve`'s p99 latency by
+            // 12 % (EXPERIMENTS §14). Anything else, an arity mismatch
+            // included, goes through `apply`.
             if let Some((mut call, params, body)) =
                 callee(&fv).filter(|(_, params, _)| params.len() == args.len())
             {
@@ -483,6 +487,8 @@ pub fn eval_lets<'t>(
 
 /// Applies a function value to evaluated arguments (the application
 /// itself is free; the applied body's nodes charge as they evaluate).
+/// [`eval_in`] binds the arguments of the common calls itself and
+/// comes here for the rest.
 pub fn apply(f: Value, args: Vec<Value>, budget: &Budget) -> Result<Value, EvalError> {
     if let Value::Prim(p) = f {
         return apply_prim(p, &args);
