@@ -95,6 +95,29 @@ PYEOF
         "$FG" explain "$f" > /dev/null
     done
 
+    # Trace parity: tracing observes a check without changing it, so the
+    # work and budget counters of a traced check equal the plain one's,
+    # on every example and on one prelude body.
+    trace_parity() {
+        "$FG" --metrics-json "$CI_TMP/plain.json" "$@" > /dev/null
+        "$FG" --metrics-json "$CI_TMP/traced.json" --trace "$CI_TMP/parity.jsonl" "$@" > /dev/null
+        python3 - "$CI_TMP/plain.json" "$CI_TMP/traced.json" "$*" <<'PYEOF'
+import json, sys
+def groups(path):
+    counters = json.load(open(path))["counters"]
+    counters["limits"].pop("elapsed_ms")
+    return {g: counters.get(g) for g in ("limits", "check", "congruence", "intern")}
+plain, traced = groups(sys.argv[1]), groups(sys.argv[2])
+assert plain == traced, f"{sys.argv[3]}: --trace changed the counters: {plain} vs {traced}"
+PYEOF
+    }
+    for f in examples/*.fg; do
+        trace_parity check "$f"
+    done
+    printf 'contains[list int](range(3, 7), 5)\n' > "$CI_TMP/parity-body.fg"
+    trace_parity --prelude check "$CI_TMP/parity-body.fg"
+    echo "smoke: traced and plain counters agree on every example and a prelude body"
+
     # Parallel batch smoke: the full example corpus (good files plus
     # adversarial diagnostics) under --jobs 4 must finish with the
     # worst-code-wins exit (1: diagnostics, no crashes) and a merged

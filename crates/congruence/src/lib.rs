@@ -89,14 +89,6 @@ impl TermId {
     fn from_index(i: usize) -> Self {
         TermId(u32::try_from(i).expect("term bank exceeded u32::MAX entries"))
     }
-
-    /// Rebuilds a handle from a raw index previously obtained via
-    /// [`TermId::index`]. Only meaningful for indices below the owning
-    /// instance's [`Congruence::len`]; passing anything else yields a
-    /// handle that the owning instance will reject or misattribute.
-    pub fn from_raw_index(i: usize) -> Self {
-        Self::from_index(i)
-    }
 }
 
 impl fmt::Display for TermId {

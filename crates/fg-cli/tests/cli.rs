@@ -521,6 +521,117 @@ fn deadline_binds_inside_where_clause_planning() {
     assert!(took < std::time::Duration::from_secs(1), "took {took:?}");
 }
 
+/// A lattice of parameterized models: at each of `levels` levels,
+/// `L{i}<t>` holds when both `A{i}<t>` and `B{i}<t>` do, and each of
+/// those holds when `L{i-1}<t>` does. Discharging `L{levels}<int>`
+/// resolves the same constraints again and again: `2^(levels + 1)`
+/// lookups and dictionary-plan nodes, of which only `3 * levels + 1`
+/// are distinct.
+fn param_lattice(levels: usize) -> String {
+    let mut src = String::from("concept L0<t> { v : t; } in model L0<int> { v = 1; } in\n");
+    for i in 1..=levels {
+        src.push_str(&format!(
+            "concept A{i}<t> {{ }} in concept B{i}<t> {{ }} in concept L{i}<t> {{ }} in\n"
+        ));
+    }
+    for i in 1..=levels {
+        let j = i - 1;
+        src.push_str(&format!(
+            "model forall t where L{j}<t>. A{i}<t> {{ }} in \
+             model forall t where L{j}<t>. B{i}<t> {{ }} in \
+             model forall t where A{i}<t>, B{i}<t>. L{i}<t> {{ }} in\n"
+        ));
+    }
+    src.push_str(&format!("(biglam t where L{levels}<t>. 0)[int]\n"));
+    src
+}
+
+/// Repeated constraint lookups are charged every time they run, however
+/// the check is observed: at 16 levels the lattice's 262,143 plan nodes
+/// exceed the default dict-node cap under a plain check as under a
+/// traced, explained or fault-armed one.
+#[test]
+fn param_lattice_trips_the_dict_node_cap_however_observed() {
+    let src = scratch_file("param-lattice.fg", &param_lattice(16));
+    let trace = scratch_file("param-lattice.jsonl", "");
+    let runs: [&[&str]; 4] = [
+        &["check"],
+        &["--trace", &trace, "check"],
+        &["explain"],
+        &["--inject-fault", "parse@99999", "check"],
+    ];
+    for args in runs {
+        let mut argv = args.to_vec();
+        argv.push(&src);
+        let (_, stderr, code) = run_fg_code(&argv, "");
+        assert_eq!(code, 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("dict-nodes budget of 250000 exhausted"),
+            "{args:?}: {stderr}"
+        );
+    }
+    for f in [src, trace] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// The exit code and the `limits` (but `elapsed_ms`), `check` and
+/// `congruence` counter groups of `fg <args> --metrics-json <tmp> check`
+/// on `src`.
+fn work_counters(args: &[&str], src: &str) -> (i32, Vec<(String, String)>) {
+    let file = scratch_file("work.fg", src);
+    let metrics = scratch_file("work.json", "");
+    let mut argv = args.to_vec();
+    argv.extend(["--metrics-json", &metrics, "check", &file]);
+    let (_, _, code) = run_fg_code(&argv, "");
+    let doc = telemetry::json::Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+    for f in [file, metrics] {
+        std::fs::remove_file(f).ok();
+    }
+    let counters = doc.get("counters").expect("counters");
+    let mut out = Vec::new();
+    for group in ["limits", "check", "congruence"] {
+        // A failed check reports no `congruence` group.
+        let Some(telemetry::json::Json::Obj(fields)) = counters.get(group) else {
+            out.push((group.to_owned(), "absent".to_owned()));
+            continue;
+        };
+        for (key, value) in fields {
+            if key != "elapsed_ms" {
+                out.push((format!("{group}.{key}"), format!("{value:?}")));
+            }
+        }
+    }
+    (code, out)
+}
+
+/// Tracing observes a check without changing it: the same work, the
+/// same budget charges and the same outcome, also where a cap sits
+/// exactly at the graph program's congruence footprint, and where the
+/// trace explains a same-type proof between universal types (its
+/// search interns types of its own).
+#[test]
+fn tracing_leaves_the_work_counters_unchanged() {
+    let trace = scratch_file("parity.jsonl", "");
+    let graph = fg::graph::with_graph_lib(fg::graph::CYCLE_MODEL, "edge_count[int](5)");
+    let forall_proof = "let g = biglam v where v == int. \
+         (biglam t, u where t == u. 0)[forall s. fn(s) -> v, forall s. fn(s) -> int] in 0";
+    let cases: [(&[&str], &str); 4] = [
+        (&[], &param_lattice(8)),
+        (&[], &graph),
+        (&["--max-terms", "310"], &graph),
+        (&[], forall_proof),
+    ];
+    for (caps, src) in cases {
+        let plain = work_counters(caps, src);
+        let mut traced_args = caps.to_vec();
+        traced_args.extend(["--trace", &trace]);
+        let traced = work_counters(&traced_args, src);
+        assert_eq!(plain, traced, "{caps:?}");
+    }
+    std::fs::remove_file(trace).ok();
+}
+
 /// A fault spec naming no instrumented point is a usage error (exit 2)
 /// from the flag and from `FG_FAULT` alike.
 #[test]

@@ -95,27 +95,6 @@ pub struct CheckStats {
     pub dict_instantiations: u64,
 }
 
-impl CheckStats {
-    /// The counters accumulated since `base` was captured from the same
-    /// checker; the `max_scope_depth` gauge carries the observed peak.
-    pub fn delta_since(&self, base: &CheckStats) -> CheckStats {
-        CheckStats {
-            model_lookups: self.model_lookups.saturating_sub(base.model_lookups),
-            model_hits: self.model_hits.saturating_sub(base.model_hits),
-            model_misses: self.model_misses.saturating_sub(base.model_misses),
-            candidates_scanned: self
-                .candidates_scanned
-                .saturating_sub(base.candidates_scanned),
-            plan_nodes_built: self.plan_nodes_built.saturating_sub(base.plan_nodes_built),
-            max_scope_depth: self.max_scope_depth,
-            dicts_built: self.dicts_built.saturating_sub(base.dicts_built),
-            dict_instantiations: self
-                .dict_instantiations
-                .saturating_sub(base.dict_instantiations),
-        }
-    }
-}
-
 /// Typechecks a closed F_G program and translates it to System F:
 /// [`check_program_budgeted`] under a fresh unlimited budget, with
 /// tracing off.
@@ -336,55 +315,6 @@ fn bound_in(sigma: &Sigma, p: Symbol) -> Option<TyId> {
 /// `model forall t where C<list t>. C<t>`).
 const LOOKUP_DEPTH_LIMIT: usize = 32;
 
-/// The head constructor of a model entry's (or query's) first type
-/// argument, precomputed into the per-concept model index so lookups
-/// can skip entries that cannot possibly match before the comparatively
-/// expensive equality / pattern-match machinery runs. `Flex` marks
-/// heads that may match anything — type variables, associated-type
-/// projections (normalization can rewrite them to any constructor), and
-/// empty argument lists — so pruning is only ever a sound
-/// "rigid head vs different rigid head" rejection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum HeadKey {
-    Flex,
-    Int,
-    Bool,
-    List,
-    Fn(usize),
-    Forall,
-}
-
-impl HeadKey {
-    fn compatible(self, other: HeadKey) -> bool {
-        self == HeadKey::Flex || other == HeadKey::Flex || self == other
-    }
-}
-
-/// The head key of an argument list's first element.
-fn head_key(types: &TyInterner, args: &[TyId]) -> HeadKey {
-    let Some(&first) = args.first() else {
-        return HeadKey::Flex;
-    };
-    match types.node(first) {
-        TyNode::Var(_) | TyNode::Assoc { .. } => HeadKey::Flex,
-        TyNode::Int => HeadKey::Int,
-        TyNode::Bool => HeadKey::Bool,
-        TyNode::List(_) => HeadKey::List,
-        TyNode::Fn(ps, _) => HeadKey::Fn(ps.len()),
-        TyNode::Forall { .. } => HeadKey::Forall,
-    }
-}
-
-/// A memoized where-clause discharge: the resolved outcome plus the
-/// stat deltas the original computation accumulated, replayed on a hit
-/// so the final counters match a run without the memo table.
-#[derive(Debug, Clone)]
-struct MemoHit {
-    result: Option<ResolvedModel>,
-    check_delta: CheckStats,
-    teq_delta: TypeEqStats,
-}
-
 /// A checkpoint of the checker's lexical environment.
 struct Saved {
     vars: usize,
@@ -448,28 +378,14 @@ pub struct Checker {
     ty_vars: Vec<(Symbol, Option<TyId>)>,
     concept_names: Vec<(Symbol, ConceptId)>,
     models: Vec<ModelEntry>,
-    /// Per-concept index into `models`: entry indices (ascending, so a
-    /// reverse walk is newest-first) with the precomputed head
-    /// constructor of each entry's first argument. Maintained by
-    /// [`Checker::push_model`] and truncated by [`Checker::restore`].
-    model_index: HashMap<ConceptId, Vec<(u32, HeadKey)>>,
+    /// Per-concept index into `models`: entry indices, ascending, so a
+    /// reverse walk is newest-first. Maintained by [`Checker::push_model`]
+    /// and truncated by [`Checker::restore`].
+    model_index: HashMap<ConceptId, Vec<u32>>,
     /// The same index restricted to *parameterized* models, the only ones
     /// that can rewrite a projection in [`Checker::norm`]; kept in step
     /// with `model_index`, so `norm` never walks where-clause proxies.
-    param_index: HashMap<ConceptId, Vec<(u32, HeadKey)>>,
-    /// Bumped on every model-scope push and on every restore that pops
-    /// models; [`Checker::memo_validate`] discards the where-clause memo
-    /// wholesale when the generation (or the equality state) moves.
-    scope_gen: u64,
-    /// Where-clause discharge memo, keyed by the constraint arguments plus
-    /// the re-entrancy depth (the depth limit makes
-    /// outcomes depth-dependent). Every entry is valid exactly at
-    /// `memo_stamp`; see [`Checker::resolve_model_at`] for why a hit is
-    /// observationally identical to re-running the lookup.
-    resolve_memo: HashMap<(ConceptId, Vec<TyId>, bool, usize), MemoHit>,
-    /// The (scope generation, `TypeEq` state stamp) at which every entry
-    /// in `resolve_memo` is valid.
-    memo_stamp: (u64, (u64, u64, usize, usize)),
+    param_index: HashMap<ConceptId, Vec<u32>>,
     teq: TypeEq,
     /// While resolving a concept declaration's own items: its name, params
     /// and associated types, so self-projections `C<t̄>.s` resolve to `s`.
@@ -578,53 +494,14 @@ impl Checker {
         ts.iter().map(|&t| self.subst(t, sid)).collect()
     }
 
-    /// Pushes a model entry, keeping the per-concept index in sync and
-    /// bumping the scope generation (which lazily invalidates the
-    /// where-clause memo).
+    /// Pushes a model entry, keeping the per-concept index in sync.
     fn push_model(&mut self, entry: ModelEntry) {
         let idx = self.models.len() as u32;
-        let key = (idx, head_key(self.types(), &entry.args));
-        self.model_index.entry(entry.concept).or_default().push(key);
+        self.model_index.entry(entry.concept).or_default().push(idx);
         if !entry.params.is_empty() {
-            self.param_index.entry(entry.concept).or_default().push(key);
+            self.param_index.entry(entry.concept).or_default().push(idx);
         }
-        self.scope_gen += 1;
         self.models.push(entry);
-    }
-
-    /// Clears the where-clause memo unless the world it was computed in
-    /// — the model scope and the whole equality state (term bank,
-    /// unions, assertions, bans) — is bit-identical to now.
-    fn memo_validate(&mut self) {
-        let cur = (self.scope_gen, self.teq.state_stamp());
-        if cur != self.memo_stamp {
-            self.resolve_memo.clear();
-            self.memo_stamp = cur;
-        }
-    }
-
-    /// Folds a memoized computation's counter delta back into the live
-    /// stats (counters add; the scope-depth gauge maxes).
-    fn replay_stats(&mut self, d: CheckStats) {
-        self.stats.model_lookups += d.model_lookups;
-        self.stats.model_hits += d.model_hits;
-        self.stats.model_misses += d.model_misses;
-        self.stats.candidates_scanned += d.candidates_scanned;
-        self.stats.plan_nodes_built += d.plan_nodes_built;
-        self.stats.max_scope_depth = self.stats.max_scope_depth.max(d.max_scope_depth);
-        self.stats.dicts_built += d.dicts_built;
-        self.stats.dict_instantiations += d.dict_instantiations;
-    }
-
-    /// Head pruning is only sound while no equalities are in play (an
-    /// asserted `int == bool` can equate distinct rigid heads) and only
-    /// invisible while no tracer wants the per-candidate event stream.
-    fn head_prune_ok(&self) -> bool {
-        if self.tracer.is_enabled() {
-            return false;
-        }
-        let (_terms, unions, asserted, banned) = self.teq.state_stamp();
-        unions == 0 && asserted == 0 && banned == 0
     }
 
     fn save(&mut self) -> Saved {
@@ -643,20 +520,17 @@ impl Checker {
         self.concept_names.truncate(saved.concept_names);
         // Pop models newest-first so the per-concept indexes (whose bucket
         // tails are exactly the popped entries) shrink in lock-step.
-        if self.models.len() > saved.models {
-            while self.models.len() > saved.models {
-                if let Some(e) = self.models.pop() {
-                    if let Some(bucket) = self.model_index.get_mut(&e.concept) {
+        while self.models.len() > saved.models {
+            if let Some(e) = self.models.pop() {
+                if let Some(bucket) = self.model_index.get_mut(&e.concept) {
+                    bucket.pop();
+                }
+                if !e.params.is_empty() {
+                    if let Some(bucket) = self.param_index.get_mut(&e.concept) {
                         bucket.pop();
-                    }
-                    if !e.params.is_empty() {
-                        if let Some(bucket) = self.param_index.get_mut(&e.concept) {
-                            bucket.pop();
-                        }
                     }
                 }
             }
-            self.scope_gen += 1;
         }
         // Replacing `teq` with the saved clone discards the scope's
         // equalities — but not the record of the work done in it: fold
@@ -1177,8 +1051,6 @@ impl Checker {
         args: &[TyId],
         name: Symbol,
     ) -> Option<TyId> {
-        let prune = self.head_prune_ok();
-        let qhead = head_key(self.types(), args);
         // Only parameterized models can assign here, so the walk covers
         // their index alone; the cheap tests run by reference and a
         // skipped entry is never cloned.
@@ -1188,13 +1060,11 @@ impl Checker {
             bucket
                 .iter()
                 .rev()
-                .filter(|&&(idx, ehead)| {
+                .copied()
+                .filter(|&idx| {
                     let entry = &self.models[idx as usize];
-                    (!prune || ehead.compatible(qhead))
-                        && entry.args.len() == args.len()
-                        && entry.under_construction.is_none()
+                    entry.args.len() == args.len() && entry.under_construction.is_none()
                 })
-                .map(|&(idx, _)| idx)
                 .collect()
         };
         for idx in candidates {
@@ -1373,32 +1243,6 @@ impl Checker {
             });
             return None;
         }
-        // Where-clause discharge memo: repeated constraint lookups at an
-        // unchanged (model scope, equality state) are answered from
-        // cache. A hit is observationally identical to re-running the
-        // lookup: the stamp pins every input the computation reads
-        // (models via `scope_gen`, the congruence term bank / unions /
-        // assertions / bans via the `TypeEq` stamp, recursion depth via
-        // the key), so a re-run could only replay hash-cons and
-        // encode-cache hits and return the same value. Tracing and fault
-        // injection disable the memo so event streams and fault visit
-        // counts stay complete.
-        let memo_key = if site == "constraint" && !self.tracer.is_enabled() && !fault::armed() {
-            Some((cid, args.to_vec(), allow_uc, self.busy))
-        } else {
-            None
-        };
-        if let Some(key) = &memo_key {
-            self.memo_validate();
-            if let Some(hit) = self.resolve_memo.get(key) {
-                let hit = hit.clone();
-                self.replay_stats(hit.check_delta);
-                self.teq.absorb_scope(hit.teq_delta);
-                return hit.result;
-            }
-        }
-        let cs_before = self.stats;
-        let ts_before = self.teq.stats();
         let sp = self.tracer.begin_with("model_resolve", || {
             vec![
                 ("concept", self.concepts.name(cid).to_string().into()),
@@ -1421,18 +1265,6 @@ impl Checker {
                 if out.is_some() { "hit" } else { "miss" }.into(),
             )],
         );
-        if let Some(key) = memo_key {
-            let hit = MemoHit {
-                result: out.clone(),
-                check_delta: self.stats.delta_since(&cs_before),
-                teq_delta: self.teq.stats().delta_since(&ts_before),
-            };
-            // The computation itself may have grown the equality state;
-            // re-validate so the entry is stored against the stamp it is
-            // actually valid at.
-            self.memo_validate();
-            self.resolve_memo.insert(key, hit);
-        }
         out
     }
 
@@ -1470,7 +1302,7 @@ impl Checker {
     /// Emits the `same_type` trace event for a discharged (or failed)
     /// same-type constraint, including the minimal chain of asserted
     /// equalities that proves it when one exists.
-    fn trace_same_type(&mut self, a: TyId, b: TyId, holds: bool, site: &'static str) {
+    fn trace_same_type(&self, a: TyId, b: TyId, holds: bool, site: &'static str) {
         if !self.tracer.is_enabled() {
             return;
         }
@@ -1510,16 +1342,10 @@ impl Checker {
         // Snapshot of the concept's index bucket: nested resolution may
         // push models mid-scan, and the old full scan likewise iterated
         // over the scope length captured at loop entry.
-        let bucket: Vec<(u32, HeadKey)> =
-            self.model_index.get(&cid).cloned().unwrap_or_default();
-        let prune = self.head_prune_ok();
-        let qhead = head_key(self.types(), &nargs);
-        for &(idx, ehead) in bucket.iter().rev() {
+        let bucket: Vec<u32> = self.model_index.get(&cid).cloned().unwrap_or_default();
+        for &idx in bucket.iter().rev() {
             let i = idx as usize;
             self.stats.candidates_scanned += 1;
-            if prune && !ehead.compatible(qhead) {
-                continue;
-            }
             let entry = self.models[i].clone();
             if entry.args.len() != nargs.len() {
                 continue;

@@ -7,8 +7,8 @@
 //! F_G's model system is *lexically scoped* (the paper's Figure 6): a
 //! compilation unit carries its whole model environment in its own
 //! source text, so checking one program can never observe another
-//! program's models. Combined with the PR-4 design decision that the
-//! type interner, substitution memo, and where-clause memo are all
+//! program's models. Combined with the design decision that the type
+//! interner, its substitution memo, and the model index are all
 //! per-[`crate::check::Checker`] state, a batch of files shards
 //! shared-nothing: each worker builds its own interner per request and
 //! shares no mutable state with other workers. (A `--prelude` request

@@ -231,12 +231,6 @@ impl TyId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Rebuilds a handle from [`TyId::index`]. The caller promises the
-    /// index came from the same interner.
-    pub fn from_raw_index(i: usize) -> TyId {
-        TyId(u32::try_from(i).expect("interner arena exceeds u32 indices"))
-    }
 }
 
 /// A handle to an interned constraint node.
@@ -821,11 +815,6 @@ impl TyInterner {
         self.0.borrow_mut().intern(ty)
     }
 
-    /// Interns a constraint.
-    pub fn intern_constraint(&self, c: &RConstraint) -> CtId {
-        self.0.borrow_mut().intern_ct(c)
-    }
-
     /// Reconstructs the tree form of `id`.
     pub fn to_rty(&self, id: TyId) -> RTy {
         self.0.borrow().to_rty(id)
@@ -1017,6 +1006,19 @@ impl TyInterner {
     /// meter (one unit per fresh node, exactly like a congruence term).
     pub fn set_budget(&self, budget: Arc<Budget>) {
         self.0.borrow_mut().budget = budget;
+    }
+
+    /// Runs `f` and then rolls the arena back to where it was, so the
+    /// types `f` interns, the counters it moves and the cc-term charges
+    /// it makes all vanish. Handles interned inside `f` dangle
+    /// afterwards.
+    pub(crate) fn scratch<R>(&self, f: impl FnOnce() -> R) -> R {
+        let mark = self.mark();
+        let budget = std::mem::take(&mut self.0.borrow_mut().budget);
+        let out = f();
+        self.truncate(&mark);
+        self.0.borrow_mut().budget = budget;
+        out
     }
 }
 

@@ -246,22 +246,6 @@ impl TypeEq {
         self.interner.stats()
     }
 
-    /// The number of equalities asserted into this scope (ancestors
-    /// included). Zero means the congruence is discrete: every class is a
-    /// singleton, so equality is exactly structural equality.
-    pub fn assertion_count(&self) -> usize {
-        self.asserted.len()
-    }
-
-    /// A fingerprint of everything that can influence an equality or
-    /// resolution answer: term bank size (mere encoding grows classes a
-    /// query can see), union count, assertion count, and banned-alias
-    /// count. Used by the checker to validate memoized lookups.
-    pub(crate) fn state_stamp(&self) -> (u64, u64, usize, usize) {
-        let cc = self.cc.stats();
-        (cc.terms, cc.unions, self.asserted.len(), self.banned.len())
-    }
-
     /// Reports the congruence unions accumulated since the last flush as
     /// `cc_union` trace events, decoding each side and the class
     /// representative back to a type.
@@ -337,11 +321,17 @@ impl TypeEq {
     /// The chain is minimized greedily — dropping any single remaining
     /// assertion breaks the proof — and is validated by construction:
     /// every candidate subset is checked by replaying it into a fresh
-    /// engine over the same arena.
-    pub fn explain(&mut self, a: TyId, b: TyId) -> Option<Vec<(TyId, TyId)>> {
-        if !self.eq(a, b) {
-            return None;
-        }
+    /// engine over the same arena. Every query runs in such a fresh
+    /// engine, and the arena is rolled back afterwards, so explaining
+    /// leaves this engine, the arena's counters and the budget as they
+    /// were: a traced check counts and charges the same work as an
+    /// untraced one.
+    pub fn explain(&self, a: TyId, b: TyId) -> Option<Vec<(TyId, TyId)>> {
+        self.interner.scratch(|| self.minimal_chain(a, b))
+    }
+
+    /// [`TypeEq::explain`]'s search, which interns into the shared arena.
+    fn minimal_chain(&self, a: TyId, b: TyId) -> Option<Vec<(TyId, TyId)>> {
         let holds = |subset: &[(TyId, TyId)]| -> bool {
             let mut fresh = TypeEq::with_interner(self.interner.clone());
             for name in &self.banned {
@@ -354,9 +344,7 @@ impl TypeEq {
         };
         let mut kept = self.asserted.clone();
         if !holds(&kept) {
-            // The equality holds without any assertions (syntactic or
-            // structural alpha-equivalence).
-            return Some(Vec::new());
+            return None;
         }
         let mut i = 0;
         while i < kept.len() {

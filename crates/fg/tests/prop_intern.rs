@@ -1,7 +1,7 @@
 //! Differential tests for the hash-consing type interner: interned
 //! equality, substitution, and congruence queries must agree with the
 //! plain tree-walking definitions on random `RTy` values, and the
-//! indexed + memoized model resolution must preserve the paper's
+//! per-concept indexed model resolution must preserve the paper's
 //! Figure 6 scoped-overlap semantics.
 //!
 //! The `RTy` generator draws binder lists from a fixed pool (`[s]` or
@@ -193,12 +193,12 @@ fn forall_equality_is_alpha_equivalence() {
     assert!(!teq.eq(fa, free), "free variable capture must not equate");
 }
 
-/// The paper's Figure 6: with the model index and the where-clause memo
-/// in place, the two lexically scoped `Monoid<int>` models (sum and
-/// product) must still resolve *per scope*. The end-to-end value
-/// 100·sum + product = 302 is only produced when each instantiation of
-/// `accumulate` picks its own scope's model — a memo entry leaking
-/// across the scope boundary would yield 300 or 103 instead.
+/// The paper's Figure 6: with the per-concept model index in place, the
+/// two lexically scoped `Monoid<int>` models (sum and product) must
+/// still resolve *per scope*. The end-to-end value 100·sum + product =
+/// 302 is only produced when each instantiation of `accumulate` picks
+/// its own scope's model — a lookup answer leaking across the scope
+/// boundary would yield 300 or 103 instead.
 #[test]
 fn fig6_overlapping_models_resolve_per_scope() {
     let path = concat!(
@@ -212,9 +212,9 @@ fn fig6_overlapping_models_resolve_per_scope() {
 
 /// Scope push/pop with identical constraint keys: the same `M<int>`
 /// requirement discharged in two sibling scopes with different models
-/// must pick each scope's own model even though the memo key
-/// `(concept, args)` is identical — the scope-generation stamp
-/// invalidates the first scope's entry.
+/// must pick each scope's own model even though the lookup
+/// `(concept, args)` is identical — the index bucket popped on leaving
+/// the first scope must not answer for the second.
 #[test]
 fn memo_does_not_leak_across_sibling_scopes() {
     let src = r#"

@@ -119,14 +119,6 @@ impl fmt::Display for Value {
 }
 
 impl Value {
-    /// Extracts an integer, or `None`.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// Extracts a boolean, or `None`.
     pub fn as_bool(&self) -> Option<bool> {
         match self {
